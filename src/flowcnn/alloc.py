@@ -1,13 +1,13 @@
 """Turn data rates into a hardware plan: unit counts, configurations,
 interleave factors, FCU sizing and worst-case adder widths.
 
-Allocation rules per layer kind (r = input data rate, d = d_in):
+Allocation rules per layer kind (r = input data rate, d = d_in; the
+configuration count C of KPUs and PPUs comes from `rate.config_count`):
 
-  standard conv   C = min(ceil(d / r), d * d_out)   configurations per KPU
-                  I = ceil(C / d)                    output channels per stream
+  standard conv   I = ceil(C / d)                    output channels per stream
                   #KPU = ceil(r) * d_out / I
-  depthwise conv  #KPU = ceil(r),  C = min(ceil(d / r), d)
-  pooling         #PPU = ceil(r),  C = d / #PPU
+  depthwise conv  #KPU = ceil(r)
+  pooling         #PPU = ceil(r), each interleaving C channels
   fully connected r = j_max / h_max in lowest terms; j = a * j_max with the
                   smallest aggregation a making some divisor h of d_out with
                   min_h <= h <= a * h_max feasible; #FCU = d_out / h;
@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .netspec import LayerKind, LayerSpec, NetworkSpec, QuantFormat
-from .rate import Flow, LayerRateInfo, Rate, classify_flow, propagate_rates
+from .rate import (Flow, LayerRateInfo, Rate, classify_flow, config_count,
+                   propagate_rates)
 
 
 class AllocError(Exception):
@@ -41,10 +42,7 @@ class ConvAllocation:
     i: int                 # output channels interleaved onto one stream
     n_streams_out: int
     accumulators: int      # cross-channel accumulation units (0 for dw)
-    acc_inputs: int        # KPU outputs summed per accumulator per cycle
-    has_bias: bool
     depthwise: bool = False
-    stalled: bool = False
     continuity_break: bool = False
     extra_hold_regs: int = 0
 
@@ -99,16 +97,6 @@ class LayerAllocation:
             return self.unit.i
         return 1
 
-    @property
-    def out_streams(self) -> int:
-        if isinstance(self.unit, ConvAllocation):
-            return self.unit.n_streams_out
-        if isinstance(self.unit, FcuAllocation):
-            return self.unit.n_fcu
-        if isinstance(self.unit, PoolAllocation):
-            return self.unit.n_ppu
-        return self.layer.d_out
-
 
 @dataclass
 class ArchitecturePlan:
@@ -135,28 +123,19 @@ class ArchitecturePlan:
         return [w for e in self.layers for w in e.warnings]
 
 
-def _ceil_frac(x: Fraction | int) -> int:
-    return math.ceil(x)
-
-
 def alloc_conv(d_in: int, d_out: int, r_in: Rate) -> ConvAllocation:
     """Allocate KPUs for a standard convolution."""
-    c = min(_ceil_frac(Fraction(d_in) / r_in), d_in * d_out)
+    c = config_count(LayerKind.CONV, d_in, d_out, r_in)
     i = -(-c // d_in)
-    r_up = _ceil_frac(r_in)
-    n_exact = Fraction(r_up * d_out, i)
-    n_kpu = _ceil_frac(n_exact)
+    n_exact = Fraction(math.ceil(r_in) * d_out, i)
+    n_kpu = math.ceil(n_exact)
     broken = n_kpu != n_exact or d_out % i != 0
-    stalled = r_in * c < d_in
     return ConvAllocation(
         n_kpu=n_kpu,
         c=c,
         i=i,
         n_streams_out=-(-d_out // i),
         accumulators=0 if (d_in == 1 and r_in == 1) else -(-d_out // i),
-        acc_inputs=-(-n_kpu // d_out),
-        has_bias=True,
-        stalled=stalled,
         continuity_break=broken,
         extra_hold_regs=d_out if broken else 0,
     )
@@ -164,18 +143,14 @@ def alloc_conv(d_in: int, d_out: int, r_in: Rate) -> ConvAllocation:
 
 def alloc_depthwise(d_in: int, r_in: Rate) -> ConvAllocation:
     """Allocate KPUs for a depthwise convolution (one kernel per channel)."""
-    c = min(_ceil_frac(Fraction(d_in) / r_in), d_in)
-    n_kpu = _ceil_frac(r_in)
+    n_kpu = math.ceil(r_in)
     return ConvAllocation(
         n_kpu=n_kpu,
-        c=c,
+        c=config_count(LayerKind.DW_CONV, d_in, d_in, r_in),
         i=1,
         n_streams_out=n_kpu,
         accumulators=0,
-        acc_inputs=0,
-        has_bias=True,
         depthwise=True,
-        stalled=r_in * c < d_in,
     )
 
 
@@ -217,8 +192,8 @@ def alloc_pointwise(d_in: int, d_out: int, r_in: Rate, min_h: int = 1,
     interleaved outputs; the default keeps one neuron set per FCU.
     """
     alloc = size_fcu(d_in, d_out, r_in, min_h)
-    if shared_output_streams and alloc.h == 1 and _ceil_frac(r_in) > 1:
-        share = math.gcd(_ceil_frac(r_in), alloc.n_fcu)
+    if shared_output_streams and alloc.h == 1 and math.ceil(r_in) > 1:
+        share = math.gcd(math.ceil(r_in), alloc.n_fcu)
         if share > 1:
             alloc = FcuAllocation(j=alloc.j, h=alloc.h, a=alloc.a,
                                   n_fcu=alloc.n_fcu // share,
@@ -227,8 +202,8 @@ def alloc_pointwise(d_in: int, d_out: int, r_in: Rate, min_h: int = 1,
 
 
 def alloc_pool(d_in: int, r_in: Rate) -> PoolAllocation:
-    n_ppu = _ceil_frac(r_in)
-    return PoolAllocation(n_ppu=n_ppu, c=-(-d_in // n_ppu))
+    return PoolAllocation(n_ppu=math.ceil(r_in),
+                          c=config_count(LayerKind.MAXPOOL, d_in, d_in, r_in))
 
 
 def accumulated_terms(layer: LayerSpec) -> int:
@@ -342,7 +317,7 @@ def plan_network(spec: NetworkSpec,
     plan = ArchitecturePlan(spec, entries, min_h=min_h, parallel=parallel)
     worst_case_widths(plan, spec.quant)
     plan.cycle_budget = max(
-        _ceil_frac(Fraction(e.layer.feature_count) / e.rate.r_in)
+        math.ceil(Fraction(e.layer.feature_count) / e.rate.r_in)
         for e in entries)
     return plan
 

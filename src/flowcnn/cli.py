@@ -50,9 +50,26 @@ def _load_spec(path: str) -> NetworkSpec:
 
 def _parse_rates(text: str) -> list[Fraction]:
     try:
-        return [Fraction(part) for part in text.split(",") if part]
+        rates = [Fraction(part) for part in text.split(",") if part]
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad rate list {text!r}: {exc}") from None
+    if any(r <= 0 for r in rates):
+        raise CliError(f"bad rate list {text!r}: rates must be positive")
+    return rates
+
+
+def _layer_index(spec: NetworkSpec, layer: str) -> int:
+    """Index of the layer given by index or name."""
+    try:
+        idx = int(layer)
+    except ValueError:
+        names = [spec.layer_name(i) for i in range(len(spec.layers))]
+        if layer not in names:
+            raise CliError(f"no layer named {layer!r}") from None
+        idx = names.index(layer)
+    if not 0 <= idx < len(spec.layers):
+        raise CliError(f"layer index {idx} out of range")
+    return idx
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
@@ -184,15 +201,7 @@ def cmd_cost(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = _load_spec(args.spec)
-    try:
-        idx = int(args.layer)
-    except ValueError:
-        names = [spec.layer_name(i) for i in range(len(spec.layers))]
-        if args.layer not in names:
-            raise CliError(f"no layer named {args.layer!r}")
-        idx = names.index(args.layer)
-    if not 0 <= idx < len(spec.layers):
-        raise CliError(f"layer index {idx} out of range")
+    idx = _layer_index(spec, args.layer)
     ly = spec.layers[idx]
     # a depthwise stage followed by its lowered pointwise partner sweeps as
     # the separable pair
@@ -314,13 +323,7 @@ def cmd_compare(args) -> int:
 
 def cmd_trace(args) -> int:
     spec = _load_spec(args.spec)
-    try:
-        idx = int(args.layer)
-    except ValueError:
-        names = [spec.layer_name(i) for i in range(len(spec.layers))]
-        if args.layer not in names:
-            raise CliError(f"no layer named {args.layer!r}")
-        idx = names.index(args.layer)
+    idx = _layer_index(spec, args.layer)
     ly = spec.layers[idx]
     rng = np.random.default_rng(args.seed)
     half = 1 << (spec.quant.weight_bits - 1)
@@ -420,6 +423,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for count in ("maps", "trials"):
+            if getattr(args, count, 1) < 1:
+                raise CliError(f"--{count} must be a positive integer")
         return args.fn(args)
     except (CliError, SpecError, AllocError, OracleError, SimConfigError,
             WidthOverflow) as exc:

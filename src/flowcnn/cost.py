@@ -8,7 +8,8 @@ Per-unit costs (k = kernel side, f = input map side, C = configurations):
   FCU   adders j, multipliers j, registers h, 2:1 muxes j (C-1)
   channel accumulation   registers d_out, adders (d_out/I) * ceil(#KPU/d_out)
   bias  adders per output stream, (I-1) 2:1 muxes each
-  input interleaving     (d/I - ceil(r)) 2:1 muxes, d FIFO registers
+  input interleaving     (d/I - ceil(r)) 2:1 muxes
+  inter-layer FIFO       d registers
 
 An N:1 multiplexer counts as N-1 two-to-one multiplexers.  ReLU and control
 counters cost nothing.  Scope flags make the accounting conventions of the
@@ -87,12 +88,17 @@ SCOPES = {"table6": SCOPE_TABLE6, "table7": SCOPE_TABLE7,
           "table9": SCOPE_TABLE9, "parallel": SCOPE_PARALLEL}
 
 
+def _window_registers(k: int, f: int, c: int) -> int:
+    """Pipeline and line-buffer state of one KPU or PPU, per configuration."""
+    return (k * (k - 1) + (k - 1) * (f - k + 1)) * c
+
+
 def kpu_cost(k: int, f: int, c: int) -> ResourceVector:
     """One KPU: transposed-form MACs plus per-configuration state."""
     return ResourceVector(
         adders=k * k - 1,
         multipliers=k * k,
-        registers=(k * (k - 1) + (k - 1) * (f - k + 1)) * c,
+        registers=_window_registers(k, f, c),
         mux2=k * k * (c - 1),
     )
 
@@ -112,21 +118,16 @@ def bias_cost(d_out: int, i: int) -> ResourceVector:
     return ResourceVector(adders=streams, mux2=d_out - streams)
 
 
-def interleaver_cost(d_in: int, i: int, r_in: Rate, d_out: int) -> ResourceVector:
-    """Interleave d_in/I producer streams into ceil(r_in) continuous ones.
-
-    d_out is the channel count of the producing side; its burst of valid
-    outputs is held in d_out FIFO registers.
-    """
-    mux = max(0, -(-d_in // i) - math.ceil(r_in))
-    return ResourceVector(mux2=mux, registers=d_out)
+def interleaver_cost(d_in: int, i: int, r_in: Rate) -> ResourceVector:
+    """Interleave d_in/I producer streams into ceil(r_in) continuous ones."""
+    return ResourceVector(mux2=max(0, -(-d_in // i) - math.ceil(r_in)))
 
 
 def ppu_cost(k: int, f: int, c: int) -> ResourceVector:
     """One PPU: comparator tree plus the same line-buffer state as a KPU."""
     return ResourceVector(
         max_units=k * k - 1,
-        registers=(k * (k - 1) + (k - 1) * (f - k + 1)) * c,
+        registers=_window_registers(k, f, c),
     )
 
 
@@ -211,9 +212,8 @@ def layer_cost(entry: LayerAllocation, scope: CostScope,
             vec = vec + fifo
         if scope.include_interleaver and ly.kind not in (
                 LayerKind.FC, LayerKind.PW_CONV, LayerKind.RESIDUAL_ADD):
-            il = interleaver_cost(ly.d_in, producer.interleave,
-                                  entry.rate.r_in, ly.d_in)
-            vec = vec + ResourceVector(mux2=il.mux2)
+            vec = vec + interleaver_cost(ly.d_in, producer.interleave,
+                                         entry.rate.r_in)
     return vec
 
 
@@ -267,23 +267,25 @@ def sweep_rates(f: int, k: int, p: int, d_in: int, d_out: int,
     where interleaving cannot restore continuous flow are flagged stalled.
     """
     rows: list[SweepRow] = []
+    layer = (LayerSpec(LayerKind.DW_CONV, f, k, 1, p, d_in, d_in) if separable
+             else LayerSpec(LayerKind.CONV, f, k, 1, p, d_in, d_out))
     for r in rates:
         r = Fraction(r)
+        info = classify_flow(layer, r)
+        stalled = info.flow is Flow.STALLED
         if separable:
             dw = alloc_depthwise(d_in, r)
-            dw_spec = LayerSpec(LayerKind.DW_CONV, f, k, 1, p, d_in, d_in)
-            r_mid = classify_flow(dw_spec, r).r_out
-            pw = alloc_pointwise(d_in, d_out, r_mid, min_h)
+            pw = alloc_pointwise(d_in, d_out, info.r_out, min_h)
             vec = (kpu_cost(k, f, dw.c).scaled(dw.n_kpu)
                    + ResourceVector(registers=d_in)   # dw->pw link FIFO
                    + fcu_cost(pw.j, pw.h, pw.c, pw.n_fcu))
-            rows.append(SweepRow(r, vec, dw.n_kpu, pw.n_fcu, dw.stalled))
+            rows.append(SweepRow(r, vec, dw.n_kpu, pw.n_fcu, stalled))
         else:
             unit = alloc_conv(d_in, d_out, r)
             vec = kpu_cost(k, f, unit.c).scaled(unit.n_kpu)
             if unit.accumulators:
                 vec = vec + accumulator_cost(d_out, unit.i, unit.n_kpu)
-            rows.append(SweepRow(r, vec, unit.n_kpu, 0, unit.stalled))
+            rows.append(SweepRow(r, vec, unit.n_kpu, 0, stalled))
     return rows
 
 

@@ -1,39 +1,24 @@
 """Canonical network documents: the five-layer running example, MobileNetV1
-variants, the single-layer sweep geometry, and a seeded generator for small
-valid networks used by the property suites."""
+variants, and a seeded generator for small valid networks used by the
+property suites."""
 
 from __future__ import annotations
 
 import random
 from importlib import resources
 
-from .netspec import NetworkSpec, parse_network
+from .netspec import NetworkSpec, load_network_file, parse_network
 
 
 def data_path(name: str) -> str:
     """Filesystem path of a shipped network document."""
     return str(resources.files("flowcnn").joinpath("data", name))
 
-# Five layers: two 5x5 convs with preserved-size padding, two max pools and a
-# ten-way fully connected head on a 24x24 grayscale input.
-RUNNING_EXAMPLE = {
-    "input": {"height": 24, "width": 24, "channels": 1, "rate": "1"},
-    "quant": {"weight_bits": 8, "activation_bits": 8},
-    "layers": [
-        {"kind": "conv", "k": 5, "s": 1, "p": 2, "d_out": 8, "name": "C1"},
-        {"kind": "maxpool", "k": 2, "s": 2, "name": "P1"},
-        {"kind": "conv", "k": 5, "s": 1, "p": 2, "d_out": 16, "name": "C2"},
-        {"kind": "maxpool", "k": 3, "s": 3, "name": "P2"},
-        {"kind": "fc", "d_out": 10, "name": "F1"},
-    ],
-}
-
-# Geometry used by the single-layer rate sweeps.
-SWEEP_GEOMETRY = {"f": 28, "k": 7, "p": 3, "d_in": 8, "d_out": 16}
-
 
 def running_example() -> NetworkSpec:
-    return parse_network(RUNNING_EXAMPLE)
+    """Five layers: two 5x5 convs with preserved-size padding, two max pools
+    and a ten-way fully connected head on a 24x24 grayscale input."""
+    return load_network_file(data_path("running_example.json"))
 
 
 def mobilenet_v1(alpha: float = 1.0, classes: int = 1000) -> NetworkSpec:

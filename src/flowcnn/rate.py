@@ -1,4 +1,5 @@
-"""Exact data-rate propagation and output-validity predicates.
+"""Exact data-rate propagation, configuration counts, output-validity
+predicates and the layout of padded maps on a stream.
 
 Rates are `fractions.Fraction` end to end: a layer fed d_in-channel pixels at
 r_in valid features per cycle produces
@@ -79,12 +80,43 @@ def pad_tuple(c: int, f: int, k: int, p: int) -> tuple[int, ...]:
     return tuple(pad_select(c, i, f, k, p) for i in range(k))
 
 
-def _conv_configs(d_in: int, d_out: int, r_in: Rate) -> int:
-    return min(math.ceil(Fraction(d_in) / r_in), d_in * d_out)
+def map_stream(f: int, p: int, n_maps: int
+               ) -> tuple[int, int, list[tuple[int, int] | None]]:
+    """Lay feature maps back to back on one implicitly padded stream.
+
+    Each map is preceded by prefix = p*(f+1) zero positions, so it takes
+    period = f*f + prefix positions; the trailing zeros of one map double
+    as the next map's top padding and one more prefix closes the stream.
+    Returns (prefix, period, anchors) with anchors[x] = (map, n) for the
+    window anchored at padded position n of that map (also the pixel that
+    streams in at position x + prefix), or None for a padding slot.  The
+    window a unit with latency L completes at position t is anchors[t - L].
+    """
+    prefix = p * (f + 1)
+    pads = [None] * prefix
+    anchors: list[tuple[int, int] | None] = []
+    for m in range(n_maps):
+        anchors += [(m, n) for n in range(f * f)]
+        anchors += pads
+    return prefix, f * f + prefix, anchors
 
 
-def _dw_configs(d_in: int, r_in: Rate) -> int:
-    return min(math.ceil(Fraction(d_in) / r_in), d_in)
+def config_count(kind: LayerKind, d_in: int, d_out: int, r_in: Rate) -> int:
+    """C: the configurations one unit cycles through at input rate r_in.
+
+    A KPU interleaves ceil(d_in / r_in) weight configurations, capped by the
+    kernels it can hold (d_in * d_out standard, d_in depthwise); a PPU
+    interleaves the d_in channels over its ceil(r_in) units.
+    """
+    if kind == LayerKind.MAXPOOL:
+        return -(-d_in // math.ceil(r_in))
+    if kind == LayerKind.CONV:
+        cap = d_in * d_out
+    elif kind == LayerKind.DW_CONV:
+        cap = d_in
+    else:
+        raise ValueError(f"cannot classify kind {kind}")
+    return min(math.ceil(Fraction(d_in) / r_in), cap)
 
 
 def classify_flow(layer: LayerSpec, r_in: Rate) -> LayerRateInfo:
@@ -99,15 +131,7 @@ def classify_flow(layer: LayerSpec, r_in: Rate) -> LayerRateInfo:
     if layer.kind in (LayerKind.FC, LayerKind.PW_CONV, LayerKind.RESIDUAL_ADD):
         return LayerRateInfo(r_in, r_out, Flow.CONTINUOUS, Fraction(1))
 
-    if layer.kind == LayerKind.CONV:
-        c = _conv_configs(layer.d_in, layer.d_out, r_in)
-    elif layer.kind == LayerKind.DW_CONV:
-        c = _dw_configs(layer.d_in, r_in)
-    elif layer.kind == LayerKind.MAXPOOL:
-        c = -(-layer.d_in // math.ceil(r_in))
-    else:
-        raise ValueError(f"cannot classify kind {layer.kind}")
-
+    c = config_count(layer.kind, layer.d_in, layer.d_out, r_in)
     util = min(Fraction(1), r_in * c / layer.d_in)
     if util < 1:
         flow = Flow.STALLED

@@ -1,11 +1,9 @@
-from .engine import (SimConfigError, SimResult, SimStats, measure_utilization,
-                     simulate_layer, simulate_network)
+from .engine import SimConfigError, SimResult, SimStats, simulate_network
 from .trace import CycleTrace, fcu_trace, kpu_trace
-from .units import FcuUnit, InputAggregator, KpuUnit, PpuUnit, WidthOverflow
+from .units import FcuUnit, KpuUnit, PpuUnit, WidthOverflow
 
 __all__ = [
-    "SimConfigError", "SimResult", "SimStats", "measure_utilization",
-    "simulate_layer", "simulate_network",
+    "SimConfigError", "SimResult", "SimStats", "simulate_network",
     "CycleTrace", "fcu_trace", "kpu_trace",
-    "FcuUnit", "InputAggregator", "KpuUnit", "PpuUnit", "WidthOverflow",
+    "FcuUnit", "KpuUnit", "PpuUnit", "WidthOverflow",
 ]

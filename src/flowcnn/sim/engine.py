@@ -5,9 +5,9 @@ a *position* is one sliding-window step of the input stream (a map pixel or
 an implicit-padding zero row element) and spans `glen` cycles, one per
 interleaved channel slot.  A position starts no earlier than one cycle after
 its last input feature reaches the layer (inter-layer FIFOs decouple
-producers from consumers) and no earlier than the previous position's end;
-in steady state the chain runs gap-free and utilization is exactly 1 for
-every non-stalled layer.
+producers from consumers) and no earlier than the previous position's end.
+Padding positions take stream time too, so a layer behind a padded one idles
+while that layer streams its padding and measures utilization below 1.
 
 Units only advance on enabled cycles (clock gating), so unit state is a pure
 function of the slot sequence while wall-clock cycle stamps carry the
@@ -27,7 +27,7 @@ from ..alloc import (ArchitecturePlan, ConvAllocation, FcuAllocation,
                      LayerAllocation, PoolAllocation)
 from ..netspec import LayerKind
 from ..oracle import wrap_to_width
-from ..rate import output_valid
+from ..rate import map_stream, output_valid
 from .units import FcuUnit, KpuUnit, PpuUnit
 
 
@@ -107,23 +107,22 @@ def _input_layer(x_maps: list[np.ndarray], rate: Fraction) -> LayerSim:
                     busy=[0] * len(x_maps), first_cycle=[0] * len(x_maps))
 
 
-def _schedule_positions(positions, glen: int, pace: Fraction,
-                        ready_of) -> list[int]:
+def _schedule_positions(readies: list[int], glen: int,
+                        pace: Fraction) -> list[int]:
     """Start cycles per stream position.
 
-    Positions chain back to back and never start before their data is ready.
-    Implicit-padding zero slots occupy stream time like any other position,
-    so a virtual stream clock advances `pace` cycles per position; for
-    non-stalled layers pace equals the group length and the clock is simply
-    the chain.  This models holding slow inputs stable instead of buffering
-    ahead of the stream.
+    Positions chain back to back and never start before their data is ready
+    (ready -1: a padding zero, ready at once).  Implicit-padding zero slots
+    occupy stream time like any other position, so a virtual stream clock
+    advances `pace` cycles per position; for non-stalled layers pace equals
+    the group length and the clock is simply the chain.  This models holding
+    slow inputs stable instead of buffering ahead of the stream.
     """
     schedule = []
     cursor = 0
     clock = Fraction(-1)
-    for pos in positions:
+    for ready in readies:
         clock += pace
-        ready = ready_of(pos)
         if ready >= 0:
             clock = max(clock, Fraction(ready))
         start = max(cursor, math.floor(clock) + 1)
@@ -197,37 +196,25 @@ def _run_conv_like(entry: LayerAllocation, name: str, feed: LayerSim,
         unit = PpuUnit(k, f, glen, width)
         x_shape = (streams,) + ts
 
-    prefix = p * (f + 1)
-    period = f * f + prefix
-    n_positions = n_maps * period + prefix
+    prefix, period, anchors = map_stream(f, p, n_maps)
     lat_pos = (k - 1) * (f + 1)
+    # the map pixel each position streams in, and the window it completes
+    pixel_at = [None] * prefix + anchors
+    window_at = [None] * lat_pos + anchors
     f_out = ly.f_out
     n_out = f_out * f_out
 
-    def pos_info(pi: int):
-        m, local = divmod(pi, period)
-        if m >= n_maps:                       # trailing flush zeros
-            return None
-        if local < prefix:
-            return None
-        return m, local - prefix              # map pixel index
-
-    def ready_of(pi: int) -> int:
-        info = pos_info(pi)
-        if info is None:
-            return -1
-        m, n = info
-        return int(feed.arrivals[m][n].max())
-
-    positions = list(range(n_positions))
+    readies = [-1 if px is None else int(feed.arrivals[px[0]][px[1]].max())
+               for px in pixel_at]
     pace = Fraction(d_in) / entry.rate.r_in
-    schedule = _schedule_positions(positions, glen, pace, ready_of)
+    schedule = _schedule_positions(readies, glen, pace)
 
     out_vals = [np.zeros((n_out, d_out) + ts, dtype=np.int64)
                 for _ in range(n_maps)]
     out_arr = [np.zeros((n_out, d_out), dtype=np.int64) for _ in range(n_maps)]
-    busy = [0] * n_maps
-    first_cycle = [0] * n_maps
+    # the trailing flush zeros belong to the last map
+    busy = [period * glen] * (n_maps - 1) + [(period + prefix) * glen]
+    first_cycle = [schedule[m * period] for m in range(n_maps)]
     arr_events: list[int] = []
     dec_events: list[int] = []
 
@@ -235,24 +222,25 @@ def _run_conv_like(entry: LayerAllocation, name: str, feed: LayerSim,
     gathered = [fv.transpose((1, 0) + tuple(range(2, fv.ndim)))
                 for fv in feed.values]     # (d_in, n_pixels, *TS)
 
-    for pi in positions:
-        start = schedule[pi]
-        info = pos_info(pi)
-        owner = min(pi // period, n_maps - 1)
-        busy[owner] += glen
-        if pi % period == 0 and pi // period < n_maps:
-            first_cycle[pi // period] = start
+    for pi, start in enumerate(schedule):
         col = None
         pix_vals = None
-        if info is not None:
-            m, n = info
+        if pixel_at[pi] is not None:
+            m, n = pixel_at[pi]
             col = n % f
             pix_vals = gathered[m][:, n]      # (d_in, *TS)
             for ch in range(d_in):
                 arr_events.append(int(feed.arrivals[m][n, ch]))
                 dec_events.append(start + last_use[ch])
+        window = window_at[pi]
+        if window is not None and output_valid(window[1], f, k, s, p):
+            wm, w_local = window
+            r_s, c_s = divmod(w_local, f)
+            opix = (r_s // s) * f_out + (c_s // s)
+        else:
+            wm = None
         acc = np.zeros((blocks, interleave) + ts, dtype=np.int64) \
-            if standard else None
+            if standard and wm is not None else None
         for t in range(glen):
             if pix_vals is None:
                 x = zero_x
@@ -264,21 +252,12 @@ def _run_conv_like(entry: LayerAllocation, name: str, feed: LayerSim,
                 y = unit.step(x)
             else:
                 y = unit.step(x, col)[(k - 1, k - 1)]
-            w_pos = pi - lat_pos
-            if w_pos < 0:
+            if wm is None:
                 continue
-            wm, w_local = divmod(w_pos, period)
-            if wm >= n_maps or w_local >= f * f:
-                continue
+            cycle = start + t
             if standard:
                 rho = t % interleave
                 acc[:, rho] += y.sum(axis=0)
-            if not output_valid(w_local, f, k, s, p):
-                continue
-            r_s, c_s = divmod(w_local, f)
-            opix = (r_s // s) * f_out + (c_s // s)
-            cycle = start + t
-            if standard:
                 if t >= glen - interleave:
                     rho = t - (glen - interleave)
                     ocs = np.array([b * interleave + rho for b in range(blocks)])
@@ -331,38 +310,33 @@ def _run_fcu_layer(entry: LayerAllocation, name: str, feed: LayerSim,
     j, h, n_fcu, configs = (unit_alloc.j, unit_alloc.h, unit_alloc.n_fcu,
                             unit_alloc.c)
     n_maps = len(feed.values)
-    per_pixel = ly.kind == LayerKind.PW_CONV
-    d_in = ly.d_in
-    if per_pixel:
-        n_pixels, flat_width = feed.n_pixels, d_in
-    else:
-        n_pixels, flat_width = 1, feed.n_pixels * d_in
-        if feed.n_pixels * d_in != ly.feature_count:
-            raise SimConfigError(
-                f"{name}: feed provides {feed.n_pixels * d_in} features, "
-                f"expected {ly.feature_count}")
+    if feed.n_pixels != ly.f * ly.f:
+        raise SimConfigError(
+            f"{name}: feed has {feed.n_pixels} pixels, expected {ly.f * ly.f}")
+    # a pointwise layer runs per pixel; a fully connected layer is one pixel
+    # of all the feed's features
+    n_pixels = feed.n_pixels if ly.kind == LayerKind.PW_CONV else 1
+    flat_width = feed.n_pixels // n_pixels * ly.d_in
     if flat_width % j:
         raise SimConfigError(f"{name}: {flat_width} features not divisible "
                              f"by j={j}")
     n_batches = flat_width // j
 
     # Structural feature order: the producer's emission order per pixel.
-    if per_pixel:
-        feat_order = list(feed.chan_order)
-    else:
-        feat_order = [pn * d_in + ch
-                      for pn in range(feed.n_pixels)
-                      for ch in feed.chan_order]
+    feat_order = [pn * ly.d_in + ch
+                  for pn in range(feed.n_pixels // n_pixels)
+                  for ch in feed.chan_order]
+    batches = [feat_order[b * j:(b + 1) * j] for b in range(n_batches)]
 
     # One weight configuration per (batch, neuron slot).
     w = _expand_ts(w, 2, ts)
     bank = np.zeros((configs, j, n_fcu) + w.shape[2:], dtype=np.int64)
-    for b in range(n_batches):
-        feats = feat_order[b * j:(b + 1) * j]
+    for b, feats in enumerate(batches):
         for sl in range(h):
             for u in range(n_fcu):
                 bank[b * h + sl, :, u] = w[u * h + sl, feats]
     unit = FcuUnit(j, h, configs, bank, entry.acc_width)
+    slot_ocs = [np.array([u * h + sl for u in range(n_fcu)]) for sl in range(h)]
 
     f_out = ly.f_out
     n_out = f_out * f_out
@@ -377,21 +351,12 @@ def _run_fcu_layer(entry: LayerAllocation, name: str, feed: LayerSim,
     cursor = 0
 
     for m in range(n_maps):
-        flat_vals = feed.values[m].reshape((flat_width,) + ts) \
-            if not per_pixel else None
-        flat_arr = feed.arrivals[m].reshape(flat_width) \
-            if not per_pixel else None
+        map_vals = feed.values[m].reshape((n_pixels, flat_width) + ts)
+        map_arr = feed.arrivals[m].reshape(n_pixels, flat_width)
         for pix in range(n_pixels):
-            for b in range(n_batches):
-                feats = feat_order[b * j:(b + 1) * j]
-                if per_pixel:
-                    xb = feed.values[m][pix][feats]          # (j, *TS)
-                    ready = int(feed.arrivals[m][pix][feats].max())
-                    arrs = feed.arrivals[m][pix][feats]
-                else:
-                    xb = flat_vals[feats]
-                    ready = int(flat_arr[feats].max())
-                    arrs = flat_arr[feats]
+            for b, feats in enumerate(batches):
+                arrs = map_arr[pix][feats]
+                ready = int(arrs.max())
                 start = max(cursor, ready + 1)
                 cursor = start + h
                 if first_cycle[m] is None:
@@ -399,13 +364,13 @@ def _run_fcu_layer(entry: LayerAllocation, name: str, feed: LayerSim,
                 busy[m] += h
                 arr_events.extend(int(a) for a in arrs)
                 dec_events.extend([start] * j)
-                xb = xb.reshape((j, 1) + ts)
+                xb = map_vals[pix][feats].reshape((j, 1) + ts)
                 last = b == n_batches - 1
                 for sl in range(h):
                     _, y = unit.step(xb, first_round=(b == 0))
                     if not last:
                         continue
-                    ocs = np.array([u * h + sl for u in range(n_fcu)])
+                    ocs = slot_ocs[sl]
                     vals = y
                     if bias is not None:
                         vals = vals + _select_bias(bias, ocs, ts)
@@ -493,35 +458,3 @@ def simulate_network(plan: ArchitecturePlan, weights: dict,
         stall_warnings=list(plan.warnings),
     )
     return SimResult(outputs, stats, sims, events)
-
-
-def measure_utilization(result: SimResult, plan: ArchitecturePlan) -> list[Fraction | None]:
-    """Per-layer busy fraction over one feature map.
-
-    Needs at least two maps (the penultimate map is measured against the
-    start of the following one); feed three or more so the measured map is
-    past the pipeline warm-up."""
-    return result.stats.utilization
-
-
-def simulate_layer(entry: LayerAllocation, name: str, weights: dict,
-                   x_maps: list[np.ndarray], rate: Fraction,
-                   spec_quant_bits: int = 8) -> tuple[LayerSim, LayerSim]:
-    """Drive a single layer with synthetic uniform arrivals at `rate`.
-
-    Returns (input pseudo-layer, layer result); used by sweep utilization
-    checks and unit-level tests.
-    """
-    feed = _input_layer([xm.astype(np.int64) for xm in x_maps], rate)
-    ts = tuple(x_maps[0].shape[3:])
-    w = weights.get("w")
-    bias = weights.get("b")
-    if w is not None:
-        w = np.asarray(w, dtype=np.int64)
-    if bias is not None:
-        bias = np.asarray(bias, dtype=np.int64)
-    if isinstance(entry.unit, FcuAllocation):
-        sim = _run_fcu_layer(entry, name, feed, w, bias, ts, None)
-    else:
-        sim = _run_conv_like(entry, name, feed, w, bias, ts, None)
-    return feed, sim

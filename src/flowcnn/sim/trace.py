@@ -6,9 +6,9 @@ render as "-".  Two tracers cover the interesting machines:
   * kpu_trace: a KPU streaming one or more feature maps, tapping the input,
     the padding-select tuple, all partial-sum nodes a_{row}{node} and the
     window output y with its validity schedule.
-  * fcu_trace: an FCU (optionally behind an input aggregator) tapping the
-    held input batch, the active weight row, the recalled partial sum q and
-    the output y.
+  * fcu_trace: an FCU tapping the held input batch (or, with input
+    aggregation, the lanes gathered so far), the active weight row, the
+    recalled partial sum q and the output y.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..rate import output_valid, pad_tuple
+from ..rate import map_stream, output_valid, pad_tuple
 from .units import FcuUnit, KpuUnit
 
 
@@ -82,10 +82,8 @@ def kpu_trace(f: int, k: int, p: int, weights: np.ndarray,
     valid output position.
     """
     unit = KpuUnit(k, f, 1, weights.reshape(1, k, k), p)
-    prefix = p * (f + 1)
-    period = f * f + prefix
-    n_maps = len(maps)
-    total = n_maps * period + prefix + extra_cycles
+    prefix, _, anchors = map_stream(f, p, len(maps))
+    total = len(anchors) + prefix + extra_cycles
 
     tap_names = {(i, m): f"a_{i + 1}{m + 1}" for i in range(k)
                  for m in range(k - 1)}
@@ -95,16 +93,17 @@ def kpu_trace(f: int, k: int, p: int, weights: np.ndarray,
     columns = ["x_n"] + (["pad"] if p else []) + [
         tap_names[(i, m)] for i in range(k) for m in range(k)]
 
-    def slot(t: int) -> tuple[object, int | None, str]:
-        m, local = divmod(t, period)
-        if m >= n_maps or local < prefix:
-            return 0, None, "0"
-        n = local - prefix
-        return int(maps[m][n]), n % f, f"x_{n}"
+    def anchor(x: int) -> tuple[int, int] | None:
+        return anchors[x] if 0 <= x < len(anchors) else None
 
     trace = CycleTrace(columns)
     for t in range(total):
-        x, col, label = slot(t)
+        pixel = anchor(t - prefix)
+        if pixel is None:
+            x, col, label = 0, None, "0"
+        else:
+            m, n = pixel
+            x, col, label = int(maps[m][n]), n % f, f"x_{n}"
         taps = unit.step(x, col)
         row = TraceRow(t)
         row.signals["x_n"] = label
@@ -115,15 +114,14 @@ def kpu_trace(f: int, k: int, p: int, weights: np.ndarray,
             row.valid["pad"] = col is not None
         for (i, m), val in taps.items():
             name = tap_names[(i, m)]
-            w_pos = t - unit.tap_delay(i, m)
-            wm, w_local = divmod(w_pos, period) if w_pos >= 0 else (-1, 0)
-            ok = (0 <= wm < n_maps and w_local < f * f
-                  and output_valid(w_local, f, k, s, p))
+            window = anchor(t - unit.tap_delay(i, m))
+            ok = window is not None and output_valid(window[1], f, k, s, p)
+            w_local = window[1] if ok else None
             row.valid[name] = ok
             if name == "y_n":
                 row.signals[name] = f"y_{w_local}" if ok else None
                 row.signals["y_value"] = int(val) if np.ndim(val) == 0 else val
-                row.signals["y_window"] = w_local if ok else None
+                row.signals["y_window"] = w_local
             else:
                 z_index = i * k + m
                 row.signals[name] = f"z_{w_local},{z_index}" if ok else None

@@ -172,26 +172,3 @@ class FcuUnit:
         _check_width(y, self.width, "FCU accumulation")
         self.phase = (self.phase + 1) % self.c
         return q, y
-
-
-class InputAggregator:
-    """Shift register gathering `factor` narrow batches into one wide one."""
-
-    def __init__(self, factor: int, lanes: int):
-        self.factor = factor
-        self.lanes = lanes
-        self.slots: list[object | None] = [None] * (factor * lanes)
-        self.fill = 0
-
-    def step(self, values) -> list | None:
-        """Push `lanes` values; returns the full batch every factor-th push."""
-        self.slots = self.slots[self.lanes:] + list(values)
-        self.fill += 1
-        if self.fill == self.factor:
-            self.fill = 0
-            return list(self.slots)
-        return None
-
-    def view(self) -> tuple:
-        """Current register contents, None where nothing has arrived yet."""
-        return tuple(self.slots)

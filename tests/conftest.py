@@ -1,8 +1,6 @@
-import json
-
 import pytest
 
-from flowcnn.models import RUNNING_EXAMPLE, running_example
+from flowcnn.models import data_path, running_example
 
 
 @pytest.fixture(scope="session")
@@ -11,19 +9,10 @@ def rex_spec():
 
 
 @pytest.fixture()
-def rex_file(tmp_path):
-    path = tmp_path / "running_example.json"
-    path.write_text(json.dumps(RUNNING_EXAMPLE))
-    return str(path)
+def rex_file():
+    return data_path("running_example.json")
 
 
 @pytest.fixture()
-def sweep_geometry_file(tmp_path):
-    doc = {
-        "input": {"height": 28, "width": 28, "channels": 8, "rate": "8"},
-        "quant": {"weight_bits": 8, "activation_bits": 8},
-        "layers": [{"kind": "conv", "k": 7, "s": 1, "p": 3, "d_out": 16}],
-    }
-    path = tmp_path / "sweep.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
+def sweep_geometry_file():
+    return data_path("sweep_conv.json")

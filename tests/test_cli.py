@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from flowcnn.cli import main
 from flowcnn.models import running_example
 from flowcnn.oracle import gen_network_weights, gen_random, save_tensor, \
@@ -160,3 +162,17 @@ def test_analyze_scaled_model_row_count(capsys, tmp_path):
     assert len(rows) == 29
     # the low-rate depthwise stages stall and analyze says so
     assert any(l.startswith("!") and "stalls" in l for l in out.splitlines())
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--layer", "99"],
+    ["trace", "--layer", "-1"],
+    ["sweep", "--layer", "C1", "--rates", "0"],
+    ["sweep", "--layer", "C1", "--rates", "-1"],
+    ["simulate", "--maps", "0"],
+    ["compare", "--trials", "0"],
+], ids=" ".join)
+def test_bad_input_exits_2(capsys, rex_file, argv):
+    code, out, err = run(capsys, argv[0], rex_file, *argv[1:])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

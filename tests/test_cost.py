@@ -35,10 +35,9 @@ def test_bias_cost():
 
 
 def test_interleaver_cost():
-    assert interleaver_cost(8, 1, Fraction(2), 8).mux2 == 6
-    assert interleaver_cost(8, 1, Fraction(8), 8).mux2 == 0
-    c = interleaver_cost(16, 1, Fraction(4), 16)
-    assert (c.mux2, c.registers) == (12, 16)
+    assert interleaver_cost(8, 1, Fraction(2)).mux2 == 6
+    assert interleaver_cost(8, 1, Fraction(8)).mux2 == 0
+    assert interleaver_cost(16, 1, Fraction(4)).mux2 == 12
 
 
 def test_ppu_cost():

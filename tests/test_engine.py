@@ -8,8 +8,7 @@ from flowcnn.models import random_network, running_example
 from flowcnn.netspec import parse_network
 from flowcnn.oracle import gen_network_weights, gen_random, ref_network
 from flowcnn.rate import Flow, propagate_rates, valid_output_count
-from flowcnn.sim.engine import (SimConfigError, simulate_layer,
-                                simulate_network)
+from flowcnn.sim.engine import SimConfigError, simulate_network
 
 
 def _spec(layers, h=8, c=1, rate=None, w=None):
@@ -35,7 +34,10 @@ def _check(spec, seed=0, maps=1):
 
 
 def test_single_conv_padded():
-    _check(_spec([{"kind": "conv", "k": 3, "s": 1, "p": 1, "d_out": 4}], c=2))
+    # d_in = 2 at rate 2, the first layer fed straight from the input
+    spec = _spec([{"kind": "conv", "k": 3, "s": 1, "p": 1, "d_out": 4}], c=2)
+    for seed in (0, 3):
+        _check(spec, seed=seed)
 
 
 def test_single_conv_unpadded():
@@ -240,18 +242,6 @@ def test_random_networks_equivalence_sample():
     for seed in range(5):
         spec = random_network(seed)
         _check(spec, seed=seed)
-
-
-def test_simulate_layer_helper():
-    spec = _spec([{"kind": "conv", "k": 3, "s": 1, "p": 1, "d_out": 4}], c=2)
-    plan = plan_network(spec)
-    weights = gen_network_weights(spec, 3)
-    xs = [gen_random((8, 8, 2), 9, 8).reshape(8, 8, 2)]
-    feed, sim = simulate_layer(plan.layers[0], "L0", weights["L0"], xs,
-                               Fraction(2))
-    from flowcnn.oracle import ref_conv2d
-    ref = ref_conv2d(xs[0], weights["L0"]["w"], weights["L0"]["b"], 1, 1)
-    assert np.array_equal(sim.values[0].reshape(ref.shape), ref)
 
 
 def test_fixture_seed0_reproduced():

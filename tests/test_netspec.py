@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from flowcnn.models import RUNNING_EXAMPLE, mobilenet_v1
+from flowcnn.models import data_path, mobilenet_v1
 from flowcnn.netspec import (LayerKind, SchemaError, ValidationError,
                              parse_network, serialize_network,
                              validate_network)
@@ -19,8 +19,13 @@ def test_running_example_parses(rex_spec):
     assert fc.feature_count == 256
 
 
+def _rex_doc() -> dict:
+    with open(data_path("running_example.json")) as fh:
+        return json.load(fh)
+
+
 def test_empty_layers_rejected():
-    doc = dict(RUNNING_EXAMPLE, layers=[])
+    doc = dict(_rex_doc(), layers=[])
     with pytest.raises(ValidationError):
         parse_network(doc)
 
@@ -34,7 +39,7 @@ def test_schema_errors_carry_path():
 
 
 def test_declared_f_checked():
-    doc = json.loads(json.dumps(RUNNING_EXAMPLE))
+    doc = _rex_doc()
     doc["layers"][2]["f"] = 10   # chain gives 12
     with pytest.raises(ValidationError, match="f=10"):
         parse_network(doc)

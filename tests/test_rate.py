@@ -78,11 +78,15 @@ def test_classify_flow_conv_stall():
     info = classify_flow(_conv(8, 16), Fraction(1, 16))
     assert info.flow is Flow.RESTORED_BY_INTERLEAVING
     assert info.utilization == 1
+    # C = 16 at rate 1/2: two output channels share each KPU, no stall
+    assert classify_flow(_conv(8, 16), Fraction(1, 2)).flow \
+        is Flow.RESTORED_BY_INTERLEAVING
 
 
 def test_classify_flow_depthwise_stall():
     dw = LayerSpec(LayerKind.DW_CONV, 28, 7, 1, 3, 8, 8)
     assert classify_flow(dw, Fraction(1, 2)).flow is Flow.STALLED
+    assert classify_flow(dw, Fraction(1, 2)).utilization == Fraction(1, 2)
     assert classify_flow(dw, Fraction(1)).flow is Flow.RESTORED_BY_INTERLEAVING
 
 

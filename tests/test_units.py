@@ -10,8 +10,7 @@ import pytest
 
 from flowcnn.oracle import ref_conv2d
 from flowcnn.sim.trace import fcu_trace, kpu_trace
-from flowcnn.sim.units import (InputAggregator, KpuUnit, PpuUnit,
-                               WidthOverflow)
+from flowcnn.sim.units import KpuUnit, PpuUnit, WidthOverflow
 
 F, K = 5, 3
 UNPADDED_VALID = [0, 1, 2, 5, 6, 7, 10, 11, 12]
@@ -178,15 +177,6 @@ def test_fcu_zero_fixture_schedule():
     outs = [(r.cycle, r.signals["y_value"]) for r in trace.rows
             if r.valid.get("y") and r.signals["y"].startswith("y_")]
     assert outs == [(5 + i, 0) for i in range(5)]
-
-
-def test_input_aggregator_view():
-    agg = InputAggregator(4, 1)
-    assert agg.step([7]) is None
-    assert agg.view() == (None, None, None, 7)
-    assert agg.step([8]) is None
-    assert agg.step([9]) is None
-    assert agg.step([10]) == [7, 8, 9, 10]
 
 
 def test_width_overflow_detected():
