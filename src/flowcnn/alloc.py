@@ -71,7 +71,6 @@ class LayerAllocation:
     rate: LayerRateInfo
     unit: ConvAllocation | FcuAllocation | PoolAllocation | None
     acc_width: int = 0     # worst-case adder/accumulator width, bits
-    out_bits: int = 0      # activation width presented to the next layer
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -207,18 +206,15 @@ def alloc_pool(d_in: int, r_in: Rate) -> PoolAllocation:
 
 
 def accumulated_terms(layer: LayerSpec) -> int:
-    """Number of products summed into one output value."""
+    """Number of products summed into one output value of a weighted layer
+    (conv, depthwise, pointwise or fully connected)."""
     if layer.kind == LayerKind.CONV:
         return layer.k * layer.k * layer.d_in
     if layer.kind == LayerKind.DW_CONV:
         return layer.k * layer.k
     if layer.kind == LayerKind.PW_CONV:
         return layer.d_in
-    if layer.kind == LayerKind.FC:
-        return layer.feature_count
-    if layer.kind == LayerKind.RESIDUAL_ADD:
-        return 2
-    return 1  # maxpool compares, never widens
+    return layer.feature_count
 
 
 def worst_case_widths(plan: ArchitecturePlan, quant: QuantFormat) -> list[int]:
@@ -247,7 +243,6 @@ def worst_case_widths(plan: ArchitecturePlan, quant: QuantFormat) -> list[int]:
             else:
                 out = acc
         entry.acc_width = acc
-        entry.out_bits = out
         widths.append(acc)
         in_bits = out
     return widths

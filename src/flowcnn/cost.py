@@ -64,25 +64,20 @@ class CostScope:
 
     include_bias: bool = True
     include_interleaver: bool = True
-    include_fifos: bool = True
 
 
 # Full per-layer accounting: bias adders and input-interleaving muxes are in,
 # inter-layer FIFO registers are reported separately (the exact per-layer
 # register cells of the reference breakdown exclude them).
-SCOPE_TABLE6 = CostScope(include_bias=True, include_interleaver=True,
-                         include_fifos=False)
+SCOPE_TABLE6 = CostScope(include_bias=True, include_interleaver=True)
 # Unit-only accounting for single-layer rate sweeps: bias and everything that
 # depends on the surrounding layers is left out.
-SCOPE_TABLE7 = CostScope(include_bias=False, include_interleaver=False,
-                         include_fifos=False)
+SCOPE_TABLE7 = CostScope(include_bias=False, include_interleaver=False)
 # Whole-model comparisons: interleaving muxes in, bias out.
-SCOPE_TABLE9 = CostScope(include_bias=False, include_interleaver=True,
-                         include_fifos=False)
+SCOPE_TABLE9 = CostScope(include_bias=False, include_interleaver=True)
 # Fully parallel reference point; nothing is interleaved so only unit and
 # accumulation costs remain.
-SCOPE_PARALLEL = CostScope(include_bias=False, include_interleaver=False,
-                           include_fifos=False)
+SCOPE_PARALLEL = CostScope(include_bias=False, include_interleaver=False)
 
 SCOPES = {"table6": SCOPE_TABLE6, "table7": SCOPE_TABLE7,
           "table9": SCOPE_TABLE9, "parallel": SCOPE_PARALLEL}
@@ -205,11 +200,8 @@ def layer_cost(entry: LayerAllocation, scope: CostScope,
     # and need no interleaving muxes; the FIFO on the link inside a lowered
     # depthwise-separable pair is part of the layer and always counted.
     if producer is not None:
-        fifo = ResourceVector(registers=ly.d_in)
         if ly.internal_input:
-            vec = vec + fifo
-        elif scope.include_fifos:
-            vec = vec + fifo
+            vec = vec + ResourceVector(registers=ly.d_in)
         if scope.include_interleaver and ly.kind not in (
                 LayerKind.FC, LayerKind.PW_CONV, LayerKind.RESIDUAL_ADD):
             vec = vec + interleaver_cost(ly.d_in, producer.interleave,
@@ -224,8 +216,7 @@ def network_cost(plan: ArchitecturePlan, scope: CostScope) -> CostReport:
     for idx, entry in enumerate(plan.layers):
         producer = plan.layers[idx - 1] if idx > 0 else None
         vec = layer_cost(entry, scope, producer)
-        if producer is not None and not entry.layer.internal_input \
-                and not scope.include_fifos:
+        if producer is not None and not entry.layer.internal_input:
             fifo_total += entry.layer.d_in
         rows.append(CostRow(
             index=idx,

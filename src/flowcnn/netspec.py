@@ -71,8 +71,6 @@ LOWERED_KINDS = {
     LayerKind.RESIDUAL_ADD,
 }
 
-POOL_KINDS = {LayerKind.MAXPOOL, LayerKind.AVGPOOL}
-
 
 @dataclass(frozen=True)
 class QuantFormat:
@@ -80,7 +78,6 @@ class QuantFormat:
 
     weight_bits: int = 8
     activation_bits: int = 8
-    signed: bool = True
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,14 @@ Padding positions take stream time too, so a layer behind a padded one idles
 while that layer streams its padding and measures utilization below 1.
 
 Units only advance on enabled cycles (clock gating), so unit state is a pure
-function of the slot sequence while wall-clock cycle stamps carry the
-schedule.  Values may carry trailing trial dimensions; the whole simulation
-is then batched across trials with identical control flow.
+function of the slot sequence, and each layer runs in two parts.  The
+schedule is one exact integer array per layer: the start cycle of every
+group (a stream position of `glen` slots, or an FCU batch of `h` slots).
+Output stamps, first cycles, busy counts, FIFO occupancy and signal events
+all follow from it in closed form.  The datapath only steps the units over
+the slot sequence and stores their values.  Values may carry trailing trial
+dimensions; the whole simulation is then batched across trials with
+identical control flow.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from ..alloc import (ArchitecturePlan, ConvAllocation, FcuAllocation,
                      LayerAllocation, PoolAllocation)
 from ..netspec import LayerKind
 from ..oracle import wrap_to_width
-from ..rate import map_stream, output_valid
+from ..rate import map_stream, valid_output_positions
 from .units import FcuUnit, KpuUnit, PpuUnit
 
 
@@ -66,14 +71,6 @@ class SimResult:
     events: list[tuple] | None = None   # (cycle, signal, value, valid)
 
 
-def _select_bias(bias, channels, ts: tuple):
-    """Per-channel bias aligned against values carrying trial dims."""
-    sel = bias[channels]
-    if ts and sel.ndim == 1:
-        sel = sel.reshape((len(channels),) + (1,) * len(ts))
-    return sel
-
-
 def _expand_ts(w, base_ndim: int, ts: tuple):
     """Let shared weights broadcast over the trial dims of the values."""
     if ts and w.ndim == base_ndim:
@@ -81,14 +78,15 @@ def _expand_ts(w, base_ndim: int, ts: tuple):
     return w
 
 
-def _fifo_stats(arr_cycles: list[int], dec_cycles: list[int]) -> tuple[int, int]:
-    events = [(c, 1) for c in arr_cycles] + [(c, -1) for c in dec_cycles]
-    events.sort()
-    depth = peak = 0
-    for _, delta in events:
-        depth += delta
-        peak = max(peak, depth)
-    return peak, depth
+def _fifo_stats(arrivals: np.ndarray, departures: np.ndarray
+                ) -> tuple[int, int]:
+    """Peak and final occupancy of a FIFO given every entry's arrival and
+    departure cycle; a departure frees its entry before an arrival in the
+    same cycle, so the depth peaks right after some arrival."""
+    arr = np.sort(arrivals, axis=None)
+    gone = np.searchsorted(np.sort(departures, axis=None), arr, side="right")
+    peak = int((np.arange(1, arr.size + 1) - gone).max())
+    return peak, arr.size - departures.size
 
 
 def _input_layer(x_maps: list[np.ndarray], rate: Fraction) -> LayerSim:
@@ -107,32 +105,33 @@ def _input_layer(x_maps: list[np.ndarray], rate: Fraction) -> LayerSim:
                     busy=[0] * len(x_maps), first_cycle=[0] * len(x_maps))
 
 
-def _schedule_positions(readies: list[int], glen: int,
-                        pace: Fraction) -> list[int]:
-    """Start cycles per stream position.
+def _paced(readies: np.ndarray, pace: Fraction) -> np.ndarray:
+    """Earliest start of each stream position under a virtual stream clock.
 
-    Positions chain back to back and never start before their data is ready
-    (ready -1: a padding zero, ready at once).  Implicit-padding zero slots
-    occupy stream time like any other position, so a virtual stream clock
-    advances `pace` cycles per position; for non-stalled layers pace equals
-    the group length and the clock is simply the chain.  This models holding
-    slow inputs stable instead of buffering ahead of the stream.
+    Implicit-padding zero slots occupy stream time like any other position,
+    so the clock advances `pace` cycles per position and waits for each
+    position's data: clock_n = n*pace + max(pace - 1, max_{j<=n}(ready_j -
+    j*pace)), and position n may start one cycle after it.  This models
+    holding slow inputs stable instead of buffering ahead of the stream.  A
+    padding zero (ready -1) never holds the clock back, as -1 - j*pace <=
+    pace - 1.  The clock is exact in units of 1/denominator of the pace.
     """
-    schedule = []
-    cursor = 0
-    clock = Fraction(-1)
-    for ready in readies:
-        clock += pace
-        if ready >= 0:
-            clock = max(clock, Fraction(ready))
-        start = max(cursor, math.floor(clock) + 1)
-        schedule.append(start)
-        cursor = start + glen
-    return schedule
+    num, den = pace.numerator, pace.denominator
+    lead = np.arange(len(readies), dtype=np.int64) * num
+    clock = lead + np.maximum(num - den,
+                              np.maximum.accumulate(readies * den - lead))
+    return clock // den + 1
+
+
+def _chain(ready_at: np.ndarray, glen: int) -> np.ndarray:
+    """Start cycles of back-to-back groups of glen cycles: group n starts at
+    ready_at[n] or when group n-1 ends, whichever is later."""
+    lead = np.arange(len(ready_at), dtype=np.int64) * glen
+    return lead + np.maximum.accumulate(ready_at - lead)
 
 
 def _run_conv_like(entry: LayerAllocation, name: str, feed: LayerSim,
-                   w, bias, ts: tuple, events) -> LayerSim:
+                   w, bias, ts: tuple) -> LayerSim:
     ly = entry.layer
     f, k, s, p, d_in, d_out = ly.f, ly.k, ly.s, ly.p, ly.d_in, ly.d_out
     unit_alloc = entry.unit
@@ -149,18 +148,14 @@ def _run_conv_like(entry: LayerAllocation, name: str, feed: LayerSim,
     interleave = unit_alloc.i if standard else 1
     glen = q * interleave
     # channel consumed by stream sigma at slot t (-1 = idle filler slot)
-    slot_ch = np.full((glen, streams), -1, dtype=np.int64)
-    for sigma in range(streams):
-        for t in range(glen):
-            a = t // interleave
-            ch = sigma * q + a
-            if ch < d_in:
-                slot_ch[t, sigma] = ch
-    last_use = {}
-    for t in range(glen):
-        for sigma in range(streams):
-            if slot_ch[t, sigma] >= 0:
-                last_use[int(slot_ch[t, sigma])] = t
+    slot_ch = np.arange(streams) * q + np.arange(glen)[:, None] // interleave
+    slot_ch[slot_ch >= d_in] = -1
+    # the last slot that reads each input channel, and the slot that emits
+    # each output channel (the interleave tail for a standard conv, the
+    # consuming slot otherwise)
+    last_use = (np.arange(d_in) % q + 1) * interleave - 1
+    emit_slot = glen - interleave + np.arange(d_out) % interleave \
+        if standard else np.arange(d_out) % q
 
     blocks = unit_alloc.n_streams_out if standard else streams
     width = entry.acc_width
@@ -196,115 +191,83 @@ def _run_conv_like(entry: LayerAllocation, name: str, feed: LayerSim,
         unit = PpuUnit(k, f, glen, width)
         x_shape = (streams,) + ts
 
+    # Schedule: one start cycle per stream position.  Pixel n of map m
+    # streams in at position prefix + m*period + n; the window anchored at
+    # n completes at position lat_pos + m*period + n.
     prefix, period, anchors = map_stream(f, p, n_maps)
     lat_pos = (k - 1) * (f + 1)
-    # the map pixel each position streams in, and the window it completes
     pixel_at = [None] * prefix + anchors
-    window_at = [None] * lat_pos + anchors
-    f_out = ly.f_out
-    n_out = f_out * f_out
+    map_base = np.arange(n_maps)[:, None] * period
+    pix_pos = prefix + map_base + np.arange(f * f)
+    win_pos = lat_pos + map_base + valid_output_positions(f, k, s, p)
+    n_out = win_pos.shape[1]
+    out_at = [None] * len(pixel_at)
+    for m, row in enumerate(win_pos.tolist()):
+        for opix, pos in enumerate(row):
+            out_at[pos] = (m, opix)
 
-    readies = [-1 if px is None else int(feed.arrivals[px[0]][px[1]].max())
-               for px in pixel_at]
-    pace = Fraction(d_in) / entry.rate.r_in
-    schedule = _schedule_positions(readies, glen, pace)
-
-    out_vals = [np.zeros((n_out, d_out) + ts, dtype=np.int64)
-                for _ in range(n_maps)]
-    out_arr = [np.zeros((n_out, d_out), dtype=np.int64) for _ in range(n_maps)]
+    arrivals = np.stack(feed.arrivals)           # (n_maps, f*f, d_in)
+    readies = np.full(len(pixel_at), -1, dtype=np.int64)
+    readies[pix_pos] = arrivals.max(axis=2)
+    start = _chain(_paced(readies, Fraction(d_in) / entry.rate.r_in), glen)
+    out_arr = start[win_pos][:, :, None] + emit_slot
+    peak, leftover = _fifo_stats(arrivals,
+                                 start[pix_pos][:, :, None] + last_use)
     # the trailing flush zeros belong to the last map
     busy = [period * glen] * (n_maps - 1) + [(period + prefix) * glen]
-    first_cycle = [schedule[m * period] for m in range(n_maps)]
-    arr_events: list[int] = []
-    dec_events: list[int] = []
+    first_cycle = [int(c) for c in start[map_base[:, 0]]]
 
+    # Datapath: step the units over the slot sequence.
+    out_vals = np.zeros((n_maps, n_out, d_out) + ts, dtype=np.int64)
     zero_x = np.zeros(x_shape, dtype=np.int64)
     gathered = [fv.transpose((1, 0) + tuple(range(2, fv.ndim)))
                 for fv in feed.values]     # (d_in, n_pixels, *TS)
+    # idle filler slots (ch == -1) carry weight zero or live in their own
+    # interleave slice, so any value is inert
+    slot_gather = np.maximum(slot_ch, 0)
+    slot_keep = [(chs >= 0, chs[chs >= 0]) for chs in slot_ch]
 
-    for pi, start in enumerate(schedule):
-        col = None
-        pix_vals = None
-        if pixel_at[pi] is not None:
-            m, n = pixel_at[pi]
-            col = n % f
-            pix_vals = gathered[m][:, n]      # (d_in, *TS)
-            for ch in range(d_in):
-                arr_events.append(int(feed.arrivals[m][n, ch]))
-                dec_events.append(start + last_use[ch])
-        window = window_at[pi]
-        if window is not None and output_valid(window[1], f, k, s, p):
-            wm, w_local = window
-            r_s, c_s = divmod(w_local, f)
-            opix = (r_s // s) * f_out + (c_s // s)
+    for pixel, window in zip(pixel_at, out_at):
+        if pixel is None:
+            pix_vals, col = None, None
         else:
-            wm = None
-        acc = np.zeros((blocks, interleave) + ts, dtype=np.int64) \
-            if standard and wm is not None else None
+            pix_vals, col = gathered[pixel[0]][:, pixel[1]], pixel[1] % f
+        if standard and window is not None:
+            acc = np.zeros((blocks, interleave) + ts, dtype=np.int64)
         for t in range(glen):
-            if pix_vals is None:
-                x = zero_x
-            else:
-                # idle filler slots (ch == -1) carry weight zero or live in
-                # their own interleave slice, so any value is inert
-                x = pix_vals[np.maximum(slot_ch[t], 0)].reshape(x_shape)
+            x = zero_x if pix_vals is None else \
+                pix_vals[slot_gather[t]].reshape(x_shape)
             if is_pool:
                 y = unit.step(x)
             else:
                 y = unit.step(x, col)[(k - 1, k - 1)]
-            if wm is None:
+            if window is None:
                 continue
-            cycle = start + t
             if standard:
-                rho = t % interleave
-                acc[:, rho] += y.sum(axis=0)
-                if t >= glen - interleave:
-                    rho = t - (glen - interleave)
-                    ocs = np.array([b * interleave + rho for b in range(blocks)])
-                    keep = ocs < d_out
-                    vals = acc[:, rho][keep]
-                    ocs = ocs[keep]
-                    if bias is not None:
-                        vals = vals + _select_bias(bias, ocs, ts)
-                    out_vals[wm][opix, ocs] = vals
-                    out_arr[wm][opix, ocs] = cycle
-                    if events is not None:
-                        _emit_events(events, cycle, name, opix, ocs, vals)
+                acc[:, t % interleave] += y.sum(axis=0)
             else:
-                chs = slot_ch[t]
-                keep = chs >= 0
-                vals = y[keep]
-                ocs = chs[keep]
-                if ly.post_divisor > 1:
-                    vals = vals // ly.post_divisor
-                if bias is not None and not is_pool:
-                    vals = vals + _select_bias(bias, ocs, ts)
-                out_vals[wm][opix, ocs] = vals
-                out_arr[wm][opix, ocs] = cycle
-                if events is not None:
-                    _emit_events(events, cycle, name, opix, ocs, vals)
+                keep, ocs = slot_keep[t]
+                out_vals[window][ocs] = y[keep]
+        if standard and window is not None:
+            # output oc = b*interleave + rho sits at acc[b, rho]
+            out_vals[window] = acc.reshape((-1,) + ts)[:d_out]
 
-    peak, leftover = _fifo_stats(arr_events, dec_events)
+    if ly.post_divisor > 1:
+        out_vals //= ly.post_divisor
+    if bias is not None and not is_pool:
+        out_vals += _expand_ts(bias, 1, ts)
     if standard:
         order = [b * interleave + rho
                  for rho in range(interleave) for b in range(blocks)]
         order = [oc for oc in order if oc < d_out]
     else:
-        order = [int(slot_ch[t, sigma])
-                 for t in range(glen) for sigma in range(streams)
-                 if slot_ch[t, sigma] >= 0]
-    return LayerSim(out_vals, out_arr, order, n_out, busy, first_cycle,
-                    fifo_peak=peak, fifo_final=leftover)
-
-
-def _emit_events(events, cycle, name, pixel, channels, values) -> None:
-    for ch, val in zip(np.atleast_1d(channels), np.atleast_1d(values)):
-        v = val if np.ndim(val) == 0 else val.reshape(-1)[0]
-        events.append((cycle, f"{name}.y[{pixel},{int(ch)}]", int(v), True))
+        order = [int(ch) for ch in slot_ch.ravel() if ch >= 0]
+    return LayerSim(list(out_vals), list(out_arr), order, n_out, busy,
+                    first_cycle, fifo_peak=peak, fifo_final=leftover)
 
 
 def _run_fcu_layer(entry: LayerAllocation, name: str, feed: LayerSim,
-                   w, bias, ts: tuple, events) -> LayerSim:
+                   w, bias, ts: tuple) -> LayerSim:
     ly = entry.layer
     unit_alloc = entry.unit
     j, h, n_fcu, configs = (unit_alloc.j, unit_alloc.h, unit_alloc.n_fcu,
@@ -326,7 +289,7 @@ def _run_fcu_layer(entry: LayerAllocation, name: str, feed: LayerSim,
     feat_order = [pn * ly.d_in + ch
                   for pn in range(feed.n_pixels // n_pixels)
                   for ch in feed.chan_order]
-    batches = [feat_order[b * j:(b + 1) * j] for b in range(n_batches)]
+    batches = np.array(feat_order).reshape(n_batches, j)
 
     # One weight configuration per (batch, neuron slot).
     w = _expand_ts(w, 2, ts)
@@ -338,53 +301,47 @@ def _run_fcu_layer(entry: LayerAllocation, name: str, feed: LayerSim,
     unit = FcuUnit(j, h, configs, bank, entry.acc_width)
     slot_ocs = [np.array([u * h + sl for u in range(n_fcu)]) for sl in range(h)]
 
-    f_out = ly.f_out
-    n_out = f_out * f_out
-    out_vals = [np.zeros((n_out, ly.d_out) + ts, dtype=np.int64)
-                for _ in range(n_maps)]
-    out_arr = [np.zeros((n_out, ly.d_out), dtype=np.int64)
-               for _ in range(n_maps)]
-    busy = [0] * n_maps
-    first_cycle = [None] * n_maps
-    arr_events: list[int] = []
-    dec_events: list[int] = []
-    cursor = 0
+    # Schedule: one group of h cycles per (map, pixel, batch), ready one
+    # cycle after its last feature arrives; neuron oc leaves in slot oc % h
+    # of the pixel's last batch.
+    arrivals = np.stack(feed.arrivals).reshape(n_maps, n_pixels, flat_width)
+    batch_ready = arrivals[:, :, batches].max(axis=3)
+    start = _chain(batch_ready.ravel() + 1, h).reshape(batch_ready.shape)
+    out_arr = start[:, :, -1, None] + np.arange(ly.d_out) % h
+    peak, leftover = _fifo_stats(arrivals, np.repeat(start, j))
+    busy = [n_pixels * n_batches * h] * n_maps
+    first_cycle = [int(c) for c in start[:, 0, 0]]
 
+    # Datapath: step the unit through every batch.
+    out_vals = np.zeros((n_maps, n_pixels, ly.d_out) + ts, dtype=np.int64)
     for m in range(n_maps):
         map_vals = feed.values[m].reshape((n_pixels, flat_width) + ts)
-        map_arr = feed.arrivals[m].reshape(n_pixels, flat_width)
         for pix in range(n_pixels):
             for b, feats in enumerate(batches):
-                arrs = map_arr[pix][feats]
-                ready = int(arrs.max())
-                start = max(cursor, ready + 1)
-                cursor = start + h
-                if first_cycle[m] is None:
-                    first_cycle[m] = start
-                busy[m] += h
-                arr_events.extend(int(a) for a in arrs)
-                dec_events.extend([start] * j)
                 xb = map_vals[pix][feats].reshape((j, 1) + ts)
-                last = b == n_batches - 1
                 for sl in range(h):
                     _, y = unit.step(xb, first_round=(b == 0))
-                    if not last:
-                        continue
-                    ocs = slot_ocs[sl]
-                    vals = y
-                    if bias is not None:
-                        vals = vals + _select_bias(bias, ocs, ts)
-                    cycle = start + sl
-                    out_vals[m][pix, ocs] = vals
-                    out_arr[m][pix, ocs] = cycle
-                    if events is not None:
-                        _emit_events(events, cycle, name, pix, ocs, vals)
+                    if b == n_batches - 1:
+                        out_vals[m, pix, slot_ocs[sl]] = y
 
-    peak, leftover = _fifo_stats(arr_events, dec_events)
+    if bias is not None:
+        out_vals += _expand_ts(bias, 1, ts)
     order = [u * h + sl for sl in range(h) for u in range(n_fcu)]
-    return LayerSim(out_vals, out_arr, order, n_out, busy,
-                    [c or 0 for c in first_cycle],
-                    fifo_peak=peak, fifo_final=leftover)
+    return LayerSim(list(out_vals), list(out_arr), order, n_pixels, busy,
+                    first_cycle, fifo_peak=peak, fifo_final=leftover)
+
+
+def _signal_events(name: str, sim: LayerSim) -> list[tuple]:
+    """(cycle, signal, value, valid) for every output of a layer (the value
+    of the first trial), in emission order: by cycle, then channel."""
+    n_out, d_out = sim.arrivals[0].shape
+    cycles = np.concatenate([a.ravel() for a in sim.arrivals])
+    values = np.concatenate([v.reshape(n_out * d_out, -1)[:, 0]
+                             for v in sim.values])
+    pixels, chans = np.divmod(np.arange(cycles.size) % (n_out * d_out), d_out)
+    return [(int(cycles[i]), f"{name}.y[{pixels[i]},{chans[i]}]",
+             int(values[i]), True)
+            for i in np.lexsort((chans, cycles))]
 
 
 def simulate_network(plan: ArchitecturePlan, weights: dict,
@@ -428,9 +385,11 @@ def simulate_network(plan: ArchitecturePlan, weights: dict,
         if bias is not None:
             bias = np.asarray(bias, dtype=np.int64)
         if isinstance(entry.unit, FcuAllocation):
-            sim = _run_fcu_layer(entry, name, feed, w, bias, ts, events)
+            sim = _run_fcu_layer(entry, name, feed, w, bias, ts)
         else:
-            sim = _run_conv_like(entry, name, feed, w, bias, ts, events)
+            sim = _run_conv_like(entry, name, feed, w, bias, ts)
+        if events is not None:
+            events += _signal_events(name, sim)
         if truncate:
             bits = spec.quant.activation_bits
             sim.values = [wrap_to_width(v, bits) for v in sim.values]

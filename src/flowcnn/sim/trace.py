@@ -71,8 +71,7 @@ class CycleTrace:
 
 
 def kpu_trace(f: int, k: int, p: int, weights: np.ndarray,
-              maps: list[np.ndarray], s: int = 1,
-              extra_cycles: int = 0) -> CycleTrace:
+              maps: list[np.ndarray], s: int = 1) -> CycleTrace:
     """Stream feature maps (row-major, flattened) through one KPU.
 
     maps are flat arrays of f*f integers.  With padding, each map is
@@ -83,7 +82,7 @@ def kpu_trace(f: int, k: int, p: int, weights: np.ndarray,
     """
     unit = KpuUnit(k, f, 1, weights.reshape(1, k, k), p)
     prefix, _, anchors = map_stream(f, p, len(maps))
-    total = len(anchors) + prefix + extra_cycles
+    total = len(anchors) + prefix
 
     tap_names = {(i, m): f"a_{i + 1}{m + 1}" for i in range(k)
                  for m in range(k - 1)}
@@ -147,84 +146,63 @@ def fcu_trace(j: int, h: int, d_in: int, weights: np.ndarray,
             bank[b * h + sl] = weights[sl, b * j:(b + 1) * j]
     unit = FcuUnit(j, h, configs, bank)
 
-    columns = (["x"] if aggregate > 1 else ["n"]) + \
-        [f"w_i{m}" for m in range(j)] + ["q", "y"]
+    aggregated = aggregate > 1
+    first = "x" if aggregated else "n"
+    columns = [first] + [f"w_i{m}" for m in range(j)] + ["q", "y"]
     trace = CycleTrace(columns)
-
-    if aggregate > 1:
-        # Narrow deliveries land one lane group per cycle and become visible
-        # a cycle later; the aggregator keeps filling while the FCU works on
-        # the previously latched batch, so batch b is ready at (b+1)*a.
-        lanes = j // aggregate
-        n_groups = d_in // lanes
-        starts: list[int] = []
-        prev_end = 0
-        for b in range(n_batches):
-            start = max(prev_end, (b + 1) * aggregate)
-            starts.append(start)
-            prev_end = start + h
-        total = starts[-1] + h
-
-        def agg_view(t: int, consumed_batches: int) -> str:
-            arrived = min(t, n_groups)
-            fresh = arrived - consumed_batches * aggregate
-            vals: list[object] = [None] * (aggregate - fresh) * lanes
-            base = consumed_batches * aggregate
-            for g in range(base, base + fresh):
-                vals.extend(int(v) for v in x[g * lanes:(g + 1) * lanes])
-            return "(" + ",".join("-" if v is None else str(v)
-                                  for v in vals[-j:]) + ")"
-
-        b = 0
-        for t in range(total):
-            row = TraceRow(t)
-            row.valid["x"] = True
-            if b < n_batches and starts[b] <= t:
-                slot = t - starts[b]
-                batch = x[b * j:(b + 1) * j]
-                row.signals["x"] = "(" + ",".join(str(int(v)) for v in batch) + ")"
-                cfg = b * h + slot
-                for m in range(j):
-                    row.signals[f"w_i{m}"] = f"w_{cfg},{m}"
-                    row.valid[f"w_i{m}"] = True
-                q, y = unit.step(batch, first_round=(b == 0))
-                row.signals["q"] = int(q) if np.ndim(q) == 0 else q
-                row.valid["q"] = True
-                last = b == n_batches - 1
-                row.signals["y"] = f"y_{slot}" if last \
-                    else f"z_{slot},{(b + 1) * j - 1}"
-                row.signals["y_value"] = int(y)
-                row.valid["y"] = True
-                if slot == h - 1:
-                    b += 1
-            else:
-                row.signals["x"] = agg_view(t, b)
-                for m in range(j):
-                    row.valid[f"w_i{m}"] = False
-                row.signals["q"] = 0
-                row.valid["q"] = True
-                row.valid["y"] = False
-            trace.rows.append(row)
-        return trace
-
-    t = 0
-    batches: list[np.ndarray] = [x[b * j:(b + 1) * j] for b in range(n_batches)]
+    # Narrow deliveries land one lane group per cycle and become visible a
+    # cycle later; the aggregator keeps filling while the FCU works on the
+    # previously latched batch, so batch b is ready at (b+1)*a.  Without
+    # aggregation the batches run back to back.
+    lanes = j // aggregate
+    n_groups = d_in // lanes
+    starts: list[int] = []
+    end = 0
     for b in range(n_batches):
-        for sl in range(h):
-            cfg = b * h + sl
-            q, y = unit.step(batches[b], first_round=(b == 0))
-            row = TraceRow(t)
-            row.signals["n"] = b * j
-            row.valid["n"] = True
+        starts.append(max(end, (b + 1) * aggregate) if aggregated else end)
+        end = starts[-1] + h
+
+    def agg_view(t: int, consumed_batches: int) -> str:
+        arrived = min(t, n_groups)
+        fresh = arrived - consumed_batches * aggregate
+        vals: list[object] = [None] * (aggregate - fresh) * lanes
+        base = consumed_batches * aggregate
+        for g in range(base, base + fresh):
+            vals.extend(int(v) for v in x[g * lanes:(g + 1) * lanes])
+        return "(" + ",".join("-" if v is None else str(v)
+                              for v in vals[-j:]) + ")"
+
+    b = 0
+    for t in range(end):
+        row = TraceRow(t)
+        row.valid[first] = True
+        if b < n_batches and starts[b] <= t:
+            slot = t - starts[b]
+            batch = x[b * j:(b + 1) * j]
+            if aggregated:
+                row.signals["x"] = "(" + ",".join(str(int(v)) for v in batch) + ")"
+            else:
+                row.signals["n"] = b * j
+            cfg = b * h + slot
             for m in range(j):
                 row.signals[f"w_i{m}"] = f"w_{cfg},{m}"
                 row.valid[f"w_i{m}"] = True
+            q, y = unit.step(batch, first_round=(b == 0))
             row.signals["q"] = int(q) if np.ndim(q) == 0 else q
             row.valid["q"] = True
             last = b == n_batches - 1
-            row.signals["y"] = f"y_{sl}" if last else f"z_{sl},{(b + 1) * j - 1}"
+            row.signals["y"] = f"y_{slot}" if last \
+                else f"z_{slot},{(b + 1) * j - 1}"
             row.signals["y_value"] = int(y)
             row.valid["y"] = True
-            trace.rows.append(row)
-            t += 1
+            if slot == h - 1:
+                b += 1
+        else:
+            row.signals["x"] = agg_view(t, b)
+            for m in range(j):
+                row.valid[f"w_i{m}"] = False
+            row.signals["q"] = 0
+            row.valid["q"] = True
+            row.valid["y"] = False
+        trace.rows.append(row)
     return trace

@@ -16,3 +16,16 @@ def rex_file():
 @pytest.fixture()
 def sweep_geometry_file():
     return data_path("sweep_conv.json")
+
+
+@pytest.fixture()
+def residual_doc():
+    """conv -> conv -> residual merge at 3/2 features per cycle."""
+    return {
+        "input": {"height": 8, "width": 8, "channels": 4, "rate": "3/2"},
+        "layers": [
+            {"kind": "conv", "k": 3, "p": 1, "d_out": 4},
+            {"kind": "conv", "k": 3, "p": 1, "d_out": 4},
+            {"kind": "residual_add", "residual_source": 0},
+        ],
+    }

@@ -54,10 +54,18 @@ def test_sweep_matches_reference(capsys, sweep_geometry_file):
     assert rows[-1][-1] == "*"          # stalled row marked
 
 
-def test_plan_parallel(capsys, rex_file):
+def test_plan_parallel(capsys, rex_file, tmp_path, residual_doc):
     code, out, _ = run(capsys, "plan", rex_file, "--parallel")
     assert code == 0
     assert "KPU 136" in out and "FCU 10" in out
+    merged = tmp_path / "residual.json"
+    merged.write_text(json.dumps(residual_doc))
+    code, out, _ = run(capsys, "plan", str(merged), "--parallel")
+    assert code == 0
+    # the merge row has no unit
+    assert out.splitlines()[3].split() == [
+        "L2", "residual_add", "-", "1", "37", "4"]
+    assert "KPU 32  FCU 0  PPU 0" in out
 
 
 def test_simulate_and_compare(capsys, rex_file):

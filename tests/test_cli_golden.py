@@ -42,10 +42,21 @@ def cases() -> list[list[str]]:
     for fmt in ("text", "json"):
         out.append(["simulate", rex, "--maps", "3", "--trace", "C2",
                     "--format", fmt])
+    # signal events of every unit kind: pools and a plain FCU, pre-truncation
+    # values, an aggregated FCU in a network, and depthwise streams emitting
+    # in one cycle ahead of a per-pixel pointwise layer
+    out.append(["simulate", rex, "--maps", "2", "--trace", "P1,P2,F1"])
+    out.append(["simulate", rex, "--truncate", "--trace", "C2"])
+    out.append(["simulate", rex, "--min-h", "10", "--maps", "2",
+                "--trace", "F1"])
+    out.append(["simulate", "sweep_separable.json", "--trace", "sweep",
+                "--format", "json"])
     out.append(["compare", rex, "--trials", "3"])
     for fmt in ("text", "json"):
         out.append(["trace", rex, "--layer", "C1", "--zero", "--format", fmt])
         out.append(["trace", rex, "--layer", "F1", "--format", fmt])
+        out.append(["trace", rex, "--layer", "F1", "--min-h", "10",
+                    "--format", fmt])
     return out
 
 

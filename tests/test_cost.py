@@ -153,10 +153,19 @@ def test_mobilenet_table_totals():
         assert ref.total_kpu == ref_kpu and ref.total_fcu == ref_fcu
 
 
-def test_multiplier_total_never_exceeds_parallel(rex_spec):
-    ours = network_cost(plan_network(rex_spec), SCOPE_TABLE9).total
-    ref = fully_parallel_reference_cost(rex_spec).total
-    assert ours.multipliers <= ref.multipliers
+def test_multiplier_total_never_exceeds_parallel(rex_spec, residual_doc):
+    from flowcnn.netspec import parse_network
+    # a residual merge row prices ceil(r_in) adders and no unit: 3/2 planned,
+    # 4 in the fully parallel reference
+    for spec, merge_adders in ((rex_spec, []),
+                               (parse_network(residual_doc), [2, 4])):
+        ours = network_cost(plan_network(spec), SCOPE_TABLE9)
+        ref = fully_parallel_reference_cost(spec)
+        assert ours.total.multipliers <= ref.total.multipliers
+        merges = [r for r in ours.rows + ref.rows if r.kind == "residual_add"]
+        assert [r.vector for r in merges] == [
+            ResourceVector(adders=a) for a in merge_adders]
+        assert all(r.n_kpu == r.n_fcu == r.n_ppu == 0 for r in merges)
 
 
 def test_display_round_trip():

@@ -1,14 +1,17 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowcnn.alloc import plan_network
 from flowcnn.models import random_network, running_example
 from flowcnn.netspec import parse_network
 from flowcnn.oracle import gen_network_weights, gen_random, ref_network
 from flowcnn.rate import Flow, propagate_rates, valid_output_count
-from flowcnn.sim.engine import SimConfigError, simulate_network
+from flowcnn.sim.engine import (SimConfigError, _chain, _paced,
+                                simulate_network)
 
 
 def _spec(layers, h=8, c=1, rate=None, w=None):
@@ -309,3 +312,27 @@ def test_trial_axis_with_unstacked_weights(rex_spec):
     for t in range(3):
         ref = ref_network(rex_spec, weights, xs[..., t])
         assert np.array_equal(res.outputs[0][..., t].reshape(ref.shape), ref)
+
+
+def _stream_clock_loop(readies, glen, pace):
+    """Position starts stepped one position at a time with an exact clock."""
+    schedule, cursor, clock = [], 0, Fraction(-1)
+    for ready in readies:
+        clock += pace
+        if ready >= 0:
+            clock = max(clock, Fraction(ready))
+        start = max(cursor, math.floor(clock) + 1)
+        schedule.append(start)
+        cursor = start + glen
+    return schedule
+
+
+# pace = d_in / r_in >= 1 because a layer never takes more than d_in
+# features per cycle; ready -1 marks a padding position
+@settings(max_examples=200, deadline=None)
+@given(readies=st.lists(st.integers(-1, 500), min_size=1, max_size=80),
+       glen=st.integers(1, 16),
+       pace=st.fractions(min_value=1, max_value=40, max_denominator=64))
+def test_schedule_closed_form_matches_stream_clock(readies, glen, pace):
+    got = _chain(_paced(np.array(readies, dtype=np.int64), pace), glen)
+    assert got.tolist() == _stream_clock_loop(readies, glen, pace)
