@@ -1,23 +1,26 @@
 """Execute an architecture plan cycle-accurately over input feature maps.
 
-Each layer runs its planned units in lockstep over a shared slot schedule:
-a *position* is one sliding-window step of the input stream (a map pixel or
-an implicit-padding zero row element) and spans `glen` cycles, one per
-interleaved channel slot.  A position starts no earlier than one cycle after
-its last input feature reaches the layer (inter-layer FIFOs decouple
-producers from consumers) and no earlier than the previous position's end.
-Padding positions take stream time too, so a layer behind a padded one idles
-while that layer streams its padding and measures utilization below 1.
+Each layer streams its input as a sequence of *positions*: one sliding-window
+step of the input stream (a map pixel or an implicit-padding zero row
+element), spanning `glen` cycles, one per interleaved channel slot.  A
+position starts no earlier than one cycle after its last input feature
+reaches the layer (inter-layer FIFOs decouple producers from consumers) and
+no earlier than the previous position's end.  Padding positions take stream
+time too, so a layer behind a padded one idles while that layer streams its
+padding and measures utilization below 1.
 
 Units only advance on enabled cycles (clock gating), so unit state is a pure
-function of the slot sequence, and each layer runs in two parts.  The
+function of the slot sequence, and each layer is computed in two parts.  The
 schedule is one exact integer array per layer: the start cycle of every
 group (a stream position of `glen` slots, or an FCU batch of `h` slots).
 Output stamps, first cycles, busy counts, FIFO occupancy and signal events
-all follow from it in closed form.  The datapath only steps the units over
-the slot sequence and stores their values.  Values may carry trailing trial
-dimensions; the whole simulation is then batched across trials with
-identical control flow.
+all follow from it in closed form.  The values follow from the delay-line
+formula in array form: a KPU or PPU window is a fixed sum or max of taps
+that streamed in a fixed number of positions earlier (`_windows`), and an
+FCU neuron is a running sum over its batches.  The cycle-stepped units in
+`units` are the reference model this formula is tested against.  Values may
+carry trailing trial dimensions; the whole simulation is then batched across
+trials with identical control flow.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from ..alloc import (ArchitecturePlan, ConvAllocation, FcuAllocation,
                      LayerAllocation, PoolAllocation)
 from ..netspec import LayerKind
 from ..oracle import wrap_to_width
-from ..rate import map_stream, valid_output_positions
-from .units import FcuUnit, KpuUnit, PpuUnit
+from ..rate import map_stream, pad_tuple, valid_output_positions
+from .units import _check_width
 
 
 class SimConfigError(Exception):
@@ -51,7 +54,6 @@ class LayerSim:
     busy: list[int]               # enabled cycles attributed to each map
     first_cycle: list[int]        # schedule start of each map
     fifo_peak: int = 0            # peak occupancy of the input-side FIFO
-    fifo_final: int = 0           # leftover entries (0 in steady state)
 
 
 @dataclass
@@ -72,21 +74,19 @@ class SimResult:
 
 
 def _expand_ts(w, base_ndim: int, ts: tuple):
-    """Let shared weights broadcast over the trial dims of the values."""
+    """Let a shared bias broadcast over the trial dims of the values."""
     if ts and w.ndim == base_ndim:
         return w.reshape(w.shape + (1,) * len(ts))
     return w
 
 
-def _fifo_stats(arrivals: np.ndarray, departures: np.ndarray
-                ) -> tuple[int, int]:
-    """Peak and final occupancy of a FIFO given every entry's arrival and
-    departure cycle; a departure frees its entry before an arrival in the
-    same cycle, so the depth peaks right after some arrival."""
+def _fifo_stats(arrivals: np.ndarray, departures: np.ndarray) -> int:
+    """Peak occupancy of a FIFO given every entry's arrival and departure
+    cycle; a departure frees its entry before an arrival in the same cycle,
+    so the depth peaks right after some arrival."""
     arr = np.sort(arrivals, axis=None)
     gone = np.searchsorted(np.sort(departures, axis=None), arr, side="right")
-    peak = int((np.arange(1, arr.size + 1) - gone).max())
-    return peak, arr.size - departures.size
+    return int((np.arange(1, arr.size + 1) - gone).max())
 
 
 def _input_layer(x_maps: list[np.ndarray], rate: Fraction) -> LayerSim:
@@ -130,6 +130,37 @@ def _chain(ready_at: np.ndarray, glen: int) -> np.ndarray:
     return lead + np.maximum.accumulate(ready_at - lead)
 
 
+def _windows(x: np.ndarray, gate: np.ndarray, f: int, kernels):
+    """Window results of a k x k transposed-form delay line fed one value
+    per stream position, once per kernel in turn.
+
+    x: (lat + n_pos, *TS) inputs, led by lat = (k-1)*(f+1) zeros because the
+    registers start at zero, and 0 at padding positions; gate: (lat + n_pos,
+    k) 0/1 column gates of the pixel at each position (pad_tuple).  Tap (i,
+    m) of the window completing at position t reads the input D = (k-1-i)*f
+    + (k-1-m) positions earlier, x[lat + t - D] = x[t + i*f + m], with
+    column gate m.  A kernel (k, k, ...) sums kernel[i, m] * tap; None takes
+    the max of the taps (a PPU).  Each window array has n_pos entries.
+    """
+    k = gate.shape[1]
+    n = len(x) - (k - 1) * (f + 1)
+    gates = [None if g.all() else g.reshape(g.shape + (1,) * (x.ndim - 1))
+             for g in gate.T]
+    for kernel in kernels:
+        win = None
+        for m, g in enumerate(gates):
+            col = x if g is None else x * g
+            for i in range(k):
+                tap = col[i * f + m:i * f + m + n]
+                if kernel is None:
+                    win = tap if win is None else np.maximum(win, tap)
+                elif win is None:
+                    win = kernel[i, m] * tap
+                else:
+                    win += kernel[i, m] * tap
+        yield win
+
+
 def _run_conv_like(entry: LayerAllocation, name: str, feed: LayerSim,
                    w, bias, ts: tuple) -> LayerSim:
     ly = entry.layer
@@ -157,121 +188,65 @@ def _run_conv_like(entry: LayerAllocation, name: str, feed: LayerSim,
     emit_slot = glen - interleave + np.arange(d_out) % interleave \
         if standard else np.arange(d_out) % q
 
-    blocks = unit_alloc.n_streams_out if standard else streams
-    width = entry.acc_width
-
-    # Stacked weight banks, one configuration per slot.
-    if standard:
-        w = _expand_ts(w, 4, ts)
-        bank = np.zeros((glen, k, k, streams, blocks) + w.shape[4:],
-                        dtype=np.int64)
-        for t in range(glen):
-            rho = t % interleave
-            for sigma in range(streams):
-                ch = slot_ch[t, sigma]
-                if ch < 0:
-                    continue
-                for b in range(blocks):
-                    oc = b * interleave + rho
-                    if oc < d_out:
-                        bank[t, :, :, sigma, b] = w[oc, ch]
-        unit = KpuUnit(k, f, glen, bank, p, width)
-        x_shape = (streams, 1) + ts      # broadcasts over output blocks
-    elif depthwise:
-        w = _expand_ts(w, 3, ts)
-        bank = np.zeros((glen, k, k, streams) + w.shape[3:], dtype=np.int64)
-        for t in range(glen):
-            for sigma in range(streams):
-                ch = slot_ch[t, sigma]
-                if ch >= 0:
-                    bank[t, :, :, sigma] = w[ch]
-        unit = KpuUnit(k, f, glen, bank, p, width)
-        x_shape = (streams,) + ts
-    else:
-        unit = PpuUnit(k, f, glen, width)
-        x_shape = (streams,) + ts
-
     # Schedule: one start cycle per stream position.  Pixel n of map m
     # streams in at position prefix + m*period + n; the window anchored at
     # n completes at position lat_pos + m*period + n.
-    prefix, period, anchors = map_stream(f, p, n_maps)
+    prefix, period, _ = map_stream(f, p, n_maps)
+    n_pos = prefix + n_maps * period
     lat_pos = (k - 1) * (f + 1)
-    pixel_at = [None] * prefix + anchors
     map_base = np.arange(n_maps)[:, None] * period
     pix_pos = prefix + map_base + np.arange(f * f)
     win_pos = lat_pos + map_base + valid_output_positions(f, k, s, p)
     n_out = win_pos.shape[1]
-    out_at = [None] * len(pixel_at)
-    for m, row in enumerate(win_pos.tolist()):
-        for opix, pos in enumerate(row):
-            out_at[pos] = (m, opix)
 
     arrivals = np.stack(feed.arrivals)           # (n_maps, f*f, d_in)
-    readies = np.full(len(pixel_at), -1, dtype=np.int64)
+    readies = np.full(n_pos, -1, dtype=np.int64)
     readies[pix_pos] = arrivals.max(axis=2)
     start = _chain(_paced(readies, Fraction(d_in) / entry.rate.r_in), glen)
     out_arr = start[win_pos][:, :, None] + emit_slot
-    peak, leftover = _fifo_stats(arrivals,
-                                 start[pix_pos][:, :, None] + last_use)
+    peak = _fifo_stats(arrivals, start[pix_pos][:, :, None] + last_use)
     # the trailing flush zeros belong to the last map
     busy = [period * glen] * (n_maps - 1) + [(period + prefix) * glen]
     first_cycle = [int(c) for c in start[map_base[:, 0]]]
 
-    # Datapath: step the units over the slot sequence.
+    # Datapath: every (input channel, output channel) pair is one delay line
+    # over the position stream; a unit's C configurations and its streams
+    # are independent lanes, so the slot a pair occupies does not matter.
+    gate = np.ones((lat_pos + n_pos, k), dtype=np.int64)
+    gate[lat_pos + pix_pos] = [pad_tuple(c, f, k, p) for c in range(f)] * f
+    where = "PPU window max" if is_pool else "KPU window sum"
     out_vals = np.zeros((n_maps, n_out, d_out) + ts, dtype=np.int64)
-    zero_x = np.zeros(x_shape, dtype=np.int64)
-    gathered = [fv.transpose((1, 0) + tuple(range(2, fv.ndim)))
-                for fv in feed.values]     # (d_in, n_pixels, *TS)
-    # idle filler slots (ch == -1) carry weight zero or live in their own
-    # interleave slice, so any value is inert
-    slot_gather = np.maximum(slot_ch, 0)
-    slot_keep = [(chs >= 0, chs[chs >= 0]) for chs in slot_ch]
-
-    for pixel, window in zip(pixel_at, out_at):
-        if pixel is None:
-            pix_vals, col = None, None
+    x = np.zeros((lat_pos + n_pos,) + ts, dtype=np.int64)
+    for ch in range(d_in):
+        for fv, pos in zip(feed.values, pix_pos):
+            x[lat_pos + pos] = fv[:, ch]
+        if standard:
+            ocs, kernels = range(d_out), w[:, ch]
         else:
-            pix_vals, col = gathered[pixel[0]][:, pixel[1]], pixel[1] % f
-        if standard and window is not None:
-            acc = np.zeros((blocks, interleave) + ts, dtype=np.int64)
-        for t in range(glen):
-            x = zero_x if pix_vals is None else \
-                pix_vals[slot_gather[t]].reshape(x_shape)
-            if is_pool:
-                y = unit.step(x)
-            else:
-                y = unit.step(x, col)[(k - 1, k - 1)]
-            if window is None:
-                continue
-            if standard:
-                acc[:, t % interleave] += y.sum(axis=0)
-            else:
-                keep, ocs = slot_keep[t]
-                out_vals[window][ocs] = y[keep]
-        if standard and window is not None:
-            # output oc = b*interleave + rho sits at acc[b, rho]
-            out_vals[window] = acc.reshape((-1,) + ts)[:d_out]
+            ocs, kernels = [ch], [None if is_pool else w[ch]]
+        for oc, win in zip(ocs, _windows(x, gate, f, kernels)):
+            _check_width(win, entry.acc_width, where)
+            out_vals[:, :, oc] += win[win_pos]
 
     if ly.post_divisor > 1:
         out_vals //= ly.post_divisor
     if bias is not None and not is_pool:
         out_vals += _expand_ts(bias, 1, ts)
     if standard:
-        order = [b * interleave + rho
-                 for rho in range(interleave) for b in range(blocks)]
+        order = [b * interleave + rho for rho in range(interleave)
+                 for b in range(unit_alloc.n_streams_out)]
         order = [oc for oc in order if oc < d_out]
     else:
         order = [int(ch) for ch in slot_ch.ravel() if ch >= 0]
     return LayerSim(list(out_vals), list(out_arr), order, n_out, busy,
-                    first_cycle, fifo_peak=peak, fifo_final=leftover)
+                    first_cycle, fifo_peak=peak)
 
 
 def _run_fcu_layer(entry: LayerAllocation, name: str, feed: LayerSim,
                    w, bias, ts: tuple) -> LayerSim:
     ly = entry.layer
     unit_alloc = entry.unit
-    j, h, n_fcu, configs = (unit_alloc.j, unit_alloc.h, unit_alloc.n_fcu,
-                            unit_alloc.c)
+    j, h, n_fcu = unit_alloc.j, unit_alloc.h, unit_alloc.n_fcu
     n_maps = len(feed.values)
     if feed.n_pixels != ly.f * ly.f:
         raise SimConfigError(
@@ -291,16 +266,6 @@ def _run_fcu_layer(entry: LayerAllocation, name: str, feed: LayerSim,
                   for ch in feed.chan_order]
     batches = np.array(feat_order).reshape(n_batches, j)
 
-    # One weight configuration per (batch, neuron slot).
-    w = _expand_ts(w, 2, ts)
-    bank = np.zeros((configs, j, n_fcu) + w.shape[2:], dtype=np.int64)
-    for b, feats in enumerate(batches):
-        for sl in range(h):
-            for u in range(n_fcu):
-                bank[b * h + sl, :, u] = w[u * h + sl, feats]
-    unit = FcuUnit(j, h, configs, bank, entry.acc_width)
-    slot_ocs = [np.array([u * h + sl for u in range(n_fcu)]) for sl in range(h)]
-
     # Schedule: one group of h cycles per (map, pixel, batch), ready one
     # cycle after its last feature arrives; neuron oc leaves in slot oc % h
     # of the pixel's last batch.
@@ -308,27 +273,24 @@ def _run_fcu_layer(entry: LayerAllocation, name: str, feed: LayerSim,
     batch_ready = arrivals[:, :, batches].max(axis=3)
     start = _chain(batch_ready.ravel() + 1, h).reshape(batch_ready.shape)
     out_arr = start[:, :, -1, None] + np.arange(ly.d_out) % h
-    peak, leftover = _fifo_stats(arrivals, np.repeat(start, j))
+    peak = _fifo_stats(arrivals, np.repeat(start, j))
     busy = [n_pixels * n_batches * h] * n_maps
     first_cycle = [int(c) for c in start[:, 0, 0]]
 
-    # Datapath: step the unit through every batch.
+    # Datapath: each batch adds its j products to every neuron's running
+    # sum, which the unit's width check sees after every batch.
+    x = np.stack(feed.values).reshape((n_maps, n_pixels, flat_width) + ts)
     out_vals = np.zeros((n_maps, n_pixels, ly.d_out) + ts, dtype=np.int64)
-    for m in range(n_maps):
-        map_vals = feed.values[m].reshape((n_pixels, flat_width) + ts)
-        for pix in range(n_pixels):
-            for b, feats in enumerate(batches):
-                xb = map_vals[pix][feats].reshape((j, 1) + ts)
-                for sl in range(h):
-                    _, y = unit.step(xb, first_round=(b == 0))
-                    if b == n_batches - 1:
-                        out_vals[m, pix, slot_ocs[sl]] = y
+    for feats in batches:
+        out_vals += np.einsum("mpj...,oj...->mpo...", x[:, :, feats],
+                              w[:, feats])
+        _check_width(out_vals, entry.acc_width, "FCU accumulation")
 
     if bias is not None:
         out_vals += _expand_ts(bias, 1, ts)
     order = [u * h + sl for sl in range(h) for u in range(n_fcu)]
     return LayerSim(list(out_vals), list(out_arr), order, n_pixels, busy,
-                    first_cycle, fifo_peak=peak, fifo_final=leftover)
+                    first_cycle, fifo_peak=peak)
 
 
 def _signal_events(name: str, sim: LayerSim) -> list[tuple]:

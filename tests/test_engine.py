@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowcnn.alloc import plan_network
-from flowcnn.models import random_network, running_example
+from flowcnn.models import mobilenet_v1, random_network, running_example
 from flowcnn.netspec import parse_network
 from flowcnn.oracle import gen_network_weights, gen_random, ref_network
-from flowcnn.rate import Flow, propagate_rates, valid_output_count
-from flowcnn.sim.engine import (SimConfigError, _chain, _paced,
+from flowcnn.rate import (Flow, map_stream, pad_tuple, propagate_rates,
+                          valid_output_count)
+from flowcnn.sim.engine import (SimConfigError, _chain, _paced, _windows,
                                 simulate_network)
+from flowcnn.sim.units import KpuUnit, PpuUnit, WidthOverflow
 
 
 def _spec(layers, h=8, c=1, rate=None, w=None):
@@ -155,9 +157,6 @@ def test_utilization_c2_is_one(rex_spec):
     res = simulate_network(plan, weights, xs)
     assert res.stats.utilization[0] == 1   # C1 (fully parallel)
     assert res.stats.utilization[2] == 1   # C2
-    # FIFOs never leave data behind in steady state
-    for sim in res.layers:
-        assert sim.fifo_final == 0
 
 
 def test_fifo_peak_on_stride_burst_link(rex_spec):
@@ -336,3 +335,88 @@ def _stream_clock_loop(readies, glen, pace):
 def test_schedule_closed_form_matches_stream_clock(readies, glen, pace):
     got = _chain(_paced(np.array(readies, dtype=np.int64), pace), glen)
     assert got.tolist() == _stream_clock_loop(readies, glen, pace)
+
+
+def test_mobilenet_025_truncated_bitexact():
+    spec = mobilenet_v1(0.25)
+    plan = plan_network(spec)
+    weights = gen_network_weights(spec, 1)
+    x = gen_random((224, 224, 3), 2, 8)
+    res = simulate_network(plan, weights, x, truncate=True)
+    ref = ref_network(spec, weights, x, truncate=True)
+    assert np.array_equal(res.outputs[0].reshape(ref.shape), ref)
+
+
+def _overflow_case(layers, h, c, x, w, width):
+    spec = _spec(layers, h=h, c=c)
+    plan = plan_network(spec)
+    plan.layers[0].acc_width = width
+    weights = {} if w is None else \
+        {"L0": {"w": w, "b": np.zeros(w.shape[0], dtype=np.int64)}}
+    return simulate_network(plan, weights, x.reshape(h, h, c))
+
+
+def test_width_overflow_kpu_checks_invalid_windows():
+    # valid windows reach 3*127*127 = 48,387; windows straddling two rows
+    # read three +127 taps per row and reach 145,161, which needs 19 bits
+    layers = [{"kind": "conv", "k": 3, "s": 1, "p": 0, "d_out": 1}]
+    x = np.tile([127, -127, -127, 127, 127], 5)
+    w = np.full((1, 1, 3, 3), 127, dtype=np.int64)
+    with pytest.raises(WidthOverflow, match="^KPU window sum"):
+        _overflow_case(layers, 5, 1, x, w, 18)
+    res = _overflow_case(layers, 5, 1, x, w, 19)
+    assert np.abs(res.outputs[0]).max() == 48387
+
+
+def test_width_overflow_ppu():
+    layers = [{"kind": "maxpool", "k": 2, "s": 2}]
+    x = np.full(32, 127)
+    with pytest.raises(WidthOverflow, match="^PPU window max"):
+        _overflow_case(layers, 4, 2, x, None, 7)
+    _overflow_case(layers, 4, 2, x, None, 8)
+
+
+def test_width_overflow_fcu_checks_running_sums():
+    # the output is 0, but the running sum passes 2*127*127 = 32,258
+    layers = [{"kind": "fc", "d_out": 1}]
+    x = np.array([127, 127, -127, -127])
+    w = np.full((1, 4), 127, dtype=np.int64)
+    with pytest.raises(WidthOverflow, match="^FCU accumulation"):
+        _overflow_case(layers, 2, 1, x, w, 15)
+    res = _overflow_case(layers, 2, 1, x, w, 16)
+    assert res.outputs[0].ravel().tolist() == [0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from([1, 2, 3, 5]), extra=st.integers(0, 4),
+       padded=st.booleans(), n_maps=st.integers(1, 3),
+       trials=st.sampled_from([(), (2,)]), seed=st.integers(0, 2**16))
+def test_stepped_units_match_window_formula(k, extra, padded, n_maps, trials,
+                                            seed):
+    # every stream position is compared, invalid windows and map seams
+    # included, so the engine's formula is the stepped units' behaviour
+    f = k + extra
+    p = (k - 1) // 2 if padded else 0
+    rng = np.random.default_rng(seed)
+    prefix, _, anchors = map_stream(f, p, n_maps)
+    pixels = [None] * prefix + anchors
+    maps = rng.integers(-128, 128, size=(n_maps, f * f) + trials)
+    # the engine's stream is led by one zero per delay-line register stage
+    lat = (k - 1) * (f + 1)
+    x = np.zeros((lat + len(pixels),) + trials, dtype=np.int64)
+    gate = np.ones((lat + len(pixels), k), dtype=np.int64)
+    for t, px in enumerate(pixels):
+        if px is not None:
+            x[lat + t] = maps[px]
+            gate[lat + t] = pad_tuple(px[1] % f, f, k, p)
+    kernel = rng.integers(-128, 128, size=(k, k))
+    [win] = _windows(x, gate, f, [kernel])
+    [peak] = _windows(x, np.ones_like(gate), f, [None])
+
+    kpu = KpuUnit(k, f, 1, kernel.reshape((1, k, k) + (1,) * len(trials)), p)
+    ppu = PpuUnit(k, f, 1)
+    for t, px in enumerate(pixels):
+        col = None if px is None else px[1] % f
+        assert np.array_equal(kpu.step(x[lat + t], col)[(k - 1, k - 1)],
+                              win[t])
+        assert np.array_equal(ppu.step(x[lat + t]), peak[t])
