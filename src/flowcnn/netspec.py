@@ -347,7 +347,7 @@ def validate_network(spec: NetworkSpec) -> list[Diagnostic]:
             err(i, f"kernel k={ly.k} larger than padded map "
                    f"f+2p={ly.f + 2 * ly.p}")
         if 2 * ly.p > ly.k - 1:
-            # window anchors would leave the pixel stream
+            # windows anchored in the map would leave the pixel stream
             err(i, f"padding p={ly.p} exceeds (k-1)/2; over-padded windows "
                    f"cannot anchor in the stream")
         if ly.kind == LayerKind.MAXPOOL:

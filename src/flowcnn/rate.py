@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+import numpy as np
+
 from .netspec import LayerKind, LayerSpec, NetworkSpec
 
 Rate = Fraction
@@ -56,49 +58,36 @@ def output_valid(n: int, f: int, k: int, s: int, p: int) -> bool:
     return r <= hi and c <= hi and r % s == 0 and c % s == 0
 
 
-def valid_output_positions(f: int, k: int, s: int, p: int) -> list[int]:
-    return [n for n in range(f * f) if output_valid(n, f, k, s, p)]
+def valid_output_positions(f: int, k: int, s: int, p: int) -> np.ndarray:
+    """Positions n = r*f + c of the valid windows in row-major order: the
+    grid of rows and columns 0, s, 2s, ..., f - k + 2p (output_valid in
+    closed form; 2p <= k-1 keeps the grid inside the map)."""
+    g = np.arange(0, f - k + 2 * p + 1, s)
+    return (g[:, None] * f + g).ravel()
 
 
-def valid_output_count(f: int, k: int, s: int, p: int) -> int:
-    """((f - k + 2p) // s + 1)^2, the output grid size squared."""
-    side = (f - k + 2 * p) // s + 1
-    return side * side
+def pad_gates(f: int, k: int, p: int) -> np.ndarray:
+    """(f, k) 0/1 gates: row c holds the gate of each multiplier column i
+    while the input pixel at map column c streams in; 0 masks the column
+    to realise implicit zero padding."""
+    c = np.arange(f)[:, None]
+    i = np.arange(k)
+    return ((c >= p - k + 1 + i) & (c < f - p + i)).astype(np.int64)
 
 
-def pad_select(c: int, i: int, f: int, k: int, p: int) -> int:
-    """Gate bit for multiplier column i while the input pixel at column c
-    streams in; 0 masks the column to realise implicit zero padding."""
-    if c >= f - p + i:
-        return 0
-    if c < p - k + i + 1:
-        return 0
-    return 1
-
-
-def pad_tuple(c: int, f: int, k: int, p: int) -> tuple[int, ...]:
-    return tuple(pad_select(c, i, f, k, p) for i in range(k))
-
-
-def map_stream(f: int, p: int, n_maps: int
-               ) -> tuple[int, int, list[tuple[int, int] | None]]:
+def map_stream(f: int, p: int) -> tuple[int, int]:
     """Lay feature maps back to back on one implicitly padded stream.
 
     Each map is preceded by prefix = p*(f+1) zero positions, so it takes
     period = f*f + prefix positions; the trailing zeros of one map double
     as the next map's top padding and one more prefix closes the stream.
-    Returns (prefix, period, anchors) with anchors[x] = (map, n) for the
-    window anchored at padded position n of that map (also the pixel that
-    streams in at position x + prefix), or None for a padding slot.  The
-    window a unit with latency L completes at position t is anchors[t - L].
+    Returns (prefix, period).  Position x + prefix carries pixel n of map
+    m, where (m, n) = divmod(x, period), if n < f*f, and a padding zero
+    otherwise; a unit with latency L completes the window anchored there at
+    position x + L.
     """
     prefix = p * (f + 1)
-    pads = [None] * prefix
-    anchors: list[tuple[int, int] | None] = []
-    for m in range(n_maps):
-        anchors += [(m, n) for n in range(f * f)]
-        anchors += pads
-    return prefix, f * f + prefix, anchors
+    return prefix, f * f + prefix
 
 
 def config_count(kind: LayerKind, d_in: int, d_out: int, r_in: Rate) -> int:

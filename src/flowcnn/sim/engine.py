@@ -35,7 +35,7 @@ from ..alloc import (ArchitecturePlan, ConvAllocation, FcuAllocation,
                      LayerAllocation, PoolAllocation)
 from ..netspec import LayerKind
 from ..oracle import wrap_to_width
-from ..rate import map_stream, pad_tuple, valid_output_positions
+from ..rate import map_stream, pad_gates, valid_output_positions
 from .units import _check_width
 
 
@@ -47,10 +47,9 @@ class SimConfigError(Exception):
 class LayerSim:
     """Everything a layer hands to its consumer."""
 
-    values: list[np.ndarray]      # per map: (n_pixels, d_out, *TS)
-    arrivals: list[np.ndarray]    # per map: (n_pixels, d_out) cycle stamps
+    values: np.ndarray            # (n_maps, n_pixels, d_out, *TS)
+    arrivals: np.ndarray          # (n_maps, n_pixels, d_out) cycle stamps
     chan_order: list[int]         # channel emission order within one pixel
-    n_pixels: int
     busy: list[int]               # enabled cycles attributed to each map
     first_cycle: list[int]        # schedule start of each map
     fifo_peak: int = 0            # peak occupancy of the input-side FIFO
@@ -67,7 +66,7 @@ class SimStats:
 
 @dataclass
 class SimResult:
-    outputs: list[np.ndarray]     # per map: (f_out, f_out, d_out, *TS)
+    outputs: np.ndarray           # (n_maps, f_out, f_out, d_out, *TS)
     stats: SimStats
     layers: list[LayerSim]
     events: list[tuple] | None = None   # (cycle, signal, value, valid)
@@ -89,20 +88,15 @@ def _fifo_stats(arrivals: np.ndarray, departures: np.ndarray) -> int:
     return int((np.arange(1, arr.size + 1) - gone).max())
 
 
-def _input_layer(x_maps: list[np.ndarray], rate: Fraction) -> LayerSim:
-    """Present the network input as a producing pseudo-layer."""
-    n_pixels = x_maps[0].shape[0] * x_maps[0].shape[1]
-    d = x_maps[0].shape[2]
-    values, arrivals = [], []
-    num, den = rate.numerator, rate.denominator
-    for m, xm in enumerate(x_maps):
-        flat = xm.reshape(n_pixels, d, *xm.shape[3:])
-        idx = np.arange(n_pixels * d, dtype=np.int64) + m * n_pixels * d
-        arr = (idx * den) // num
-        values.append(flat.astype(np.int64))
-        arrivals.append(arr.reshape(n_pixels, d))
-    return LayerSim(values, arrivals, list(range(d)), n_pixels,
-                    busy=[0] * len(x_maps), first_cycle=[0] * len(x_maps))
+def _input_layer(x: np.ndarray, rate: Fraction) -> LayerSim:
+    """Present the network input, (n_maps, h, w, d, *TS), as a producing
+    pseudo-layer whose features arrive one by one at the input rate."""
+    n_maps, h, w, d = x.shape[:4]
+    idx = np.arange(n_maps * h * w * d, dtype=np.int64)
+    arrivals = (idx * rate.denominator) // rate.numerator
+    return LayerSim(x.reshape((n_maps, h * w, d) + x.shape[4:]),
+                    arrivals.reshape(n_maps, h * w, d), list(range(d)),
+                    busy=[0] * n_maps, first_cycle=[0] * n_maps)
 
 
 def _paced(readies: np.ndarray, pace: Fraction) -> np.ndarray:
@@ -136,7 +130,7 @@ def _windows(x: np.ndarray, gate: np.ndarray, f: int, kernels):
 
     x: (lat + n_pos, *TS) inputs, led by lat = (k-1)*(f+1) zeros because the
     registers start at zero, and 0 at padding positions; gate: (lat + n_pos,
-    k) 0/1 column gates of the pixel at each position (pad_tuple).  Tap (i,
+    k) 0/1 column gates of the pixel at each position (pad_gates).  Tap (i,
     m) of the window completing at position t reads the input D = (k-1-i)*f
     + (k-1-m) positions earlier, x[lat + t - D] = x[t + i*f + m], with
     column gate m.  A kernel (k, k, ...) sums kernel[i, m] * tap; None takes
@@ -161,18 +155,15 @@ def _windows(x: np.ndarray, gate: np.ndarray, f: int, kernels):
         yield win
 
 
-def _run_conv_like(entry: LayerAllocation, name: str, feed: LayerSim,
-                   w, bias, ts: tuple) -> LayerSim:
+def _run_conv_like(entry: LayerAllocation, feed: LayerSim, w, bias,
+                   ts: tuple) -> LayerSim:
     ly = entry.layer
     f, k, s, p, d_in, d_out = ly.f, ly.k, ly.s, ly.p, ly.d_in, ly.d_out
     unit_alloc = entry.unit
     is_pool = isinstance(unit_alloc, PoolAllocation)
     depthwise = isinstance(unit_alloc, ConvAllocation) and unit_alloc.depthwise
     standard = isinstance(unit_alloc, ConvAllocation) and not depthwise
-    n_maps = len(feed.values)
-    if feed.n_pixels != f * f:
-        raise SimConfigError(
-            f"{name}: feed has {feed.n_pixels} pixels, expected {f * f}")
+    n_maps = len(feed.arrivals)
 
     streams = math.ceil(entry.rate.r_in)
     q = -(-d_in // streams)                      # channels per stream
@@ -191,7 +182,7 @@ def _run_conv_like(entry: LayerAllocation, name: str, feed: LayerSim,
     # Schedule: one start cycle per stream position.  Pixel n of map m
     # streams in at position prefix + m*period + n; the window anchored at
     # n completes at position lat_pos + m*period + n.
-    prefix, period, _ = map_stream(f, p, n_maps)
+    prefix, period = map_stream(f, p)
     n_pos = prefix + n_maps * period
     lat_pos = (k - 1) * (f + 1)
     map_base = np.arange(n_maps)[:, None] * period
@@ -199,12 +190,11 @@ def _run_conv_like(entry: LayerAllocation, name: str, feed: LayerSim,
     win_pos = lat_pos + map_base + valid_output_positions(f, k, s, p)
     n_out = win_pos.shape[1]
 
-    arrivals = np.stack(feed.arrivals)           # (n_maps, f*f, d_in)
     readies = np.full(n_pos, -1, dtype=np.int64)
-    readies[pix_pos] = arrivals.max(axis=2)
+    readies[pix_pos] = feed.arrivals.max(axis=2)
     start = _chain(_paced(readies, Fraction(d_in) / entry.rate.r_in), glen)
     out_arr = start[win_pos][:, :, None] + emit_slot
-    peak = _fifo_stats(arrivals, start[pix_pos][:, :, None] + last_use)
+    peak = _fifo_stats(feed.arrivals, start[pix_pos][:, :, None] + last_use)
     # the trailing flush zeros belong to the last map
     busy = [period * glen] * (n_maps - 1) + [(period + prefix) * glen]
     first_cycle = [int(c) for c in start[map_base[:, 0]]]
@@ -213,13 +203,12 @@ def _run_conv_like(entry: LayerAllocation, name: str, feed: LayerSim,
     # over the position stream; a unit's C configurations and its streams
     # are independent lanes, so the slot a pair occupies does not matter.
     gate = np.ones((lat_pos + n_pos, k), dtype=np.int64)
-    gate[lat_pos + pix_pos] = [pad_tuple(c, f, k, p) for c in range(f)] * f
+    gate[lat_pos + pix_pos] = np.tile(pad_gates(f, k, p), (f, 1))
     where = "PPU window max" if is_pool else "KPU window sum"
     out_vals = np.zeros((n_maps, n_out, d_out) + ts, dtype=np.int64)
     x = np.zeros((lat_pos + n_pos,) + ts, dtype=np.int64)
     for ch in range(d_in):
-        for fv, pos in zip(feed.values, pix_pos):
-            x[lat_pos + pos] = fv[:, ch]
+        x[lat_pos + pix_pos] = feed.values[:, :, ch]
         if standard:
             ocs, kernels = range(d_out), w[:, ch]
         else:
@@ -238,8 +227,8 @@ def _run_conv_like(entry: LayerAllocation, name: str, feed: LayerSim,
         order = [oc for oc in order if oc < d_out]
     else:
         order = [int(ch) for ch in slot_ch.ravel() if ch >= 0]
-    return LayerSim(list(out_vals), list(out_arr), order, n_out, busy,
-                    first_cycle, fifo_peak=peak)
+    return LayerSim(out_vals, out_arr, order, busy, first_cycle,
+                    fifo_peak=peak)
 
 
 def _run_fcu_layer(entry: LayerAllocation, name: str, feed: LayerSim,
@@ -247,14 +236,16 @@ def _run_fcu_layer(entry: LayerAllocation, name: str, feed: LayerSim,
     ly = entry.layer
     unit_alloc = entry.unit
     j, h, n_fcu = unit_alloc.j, unit_alloc.h, unit_alloc.n_fcu
-    n_maps = len(feed.values)
-    if feed.n_pixels != ly.f * ly.f:
+    n_maps, feed_pixels = feed.arrivals.shape[:2]
+    if n_fcu * h != ly.d_out:
         raise SimConfigError(
-            f"{name}: feed has {feed.n_pixels} pixels, expected {ly.f * ly.f}")
+            f"{name}: {n_fcu} FCUs of h={h} neurons emit {n_fcu * h} of "
+            f"{ly.d_out} channels; shared pointwise FCUs are priced but "
+            f"not simulated")
     # a pointwise layer runs per pixel; a fully connected layer is one pixel
     # of all the feed's features
-    n_pixels = feed.n_pixels if ly.kind == LayerKind.PW_CONV else 1
-    flat_width = feed.n_pixels // n_pixels * ly.d_in
+    n_pixels = feed_pixels if ly.kind == LayerKind.PW_CONV else 1
+    flat_width = feed_pixels // n_pixels * ly.d_in
     if flat_width % j:
         raise SimConfigError(f"{name}: {flat_width} features not divisible "
                              f"by j={j}")
@@ -262,14 +253,14 @@ def _run_fcu_layer(entry: LayerAllocation, name: str, feed: LayerSim,
 
     # Structural feature order: the producer's emission order per pixel.
     feat_order = [pn * ly.d_in + ch
-                  for pn in range(feed.n_pixels // n_pixels)
+                  for pn in range(feed_pixels // n_pixels)
                   for ch in feed.chan_order]
     batches = np.array(feat_order).reshape(n_batches, j)
 
     # Schedule: one group of h cycles per (map, pixel, batch), ready one
     # cycle after its last feature arrives; neuron oc leaves in slot oc % h
     # of the pixel's last batch.
-    arrivals = np.stack(feed.arrivals).reshape(n_maps, n_pixels, flat_width)
+    arrivals = feed.arrivals.reshape(n_maps, n_pixels, flat_width)
     batch_ready = arrivals[:, :, batches].max(axis=3)
     start = _chain(batch_ready.ravel() + 1, h).reshape(batch_ready.shape)
     out_arr = start[:, :, -1, None] + np.arange(ly.d_out) % h
@@ -279,7 +270,7 @@ def _run_fcu_layer(entry: LayerAllocation, name: str, feed: LayerSim,
 
     # Datapath: each batch adds its j products to every neuron's running
     # sum, which the unit's width check sees after every batch.
-    x = np.stack(feed.values).reshape((n_maps, n_pixels, flat_width) + ts)
+    x = feed.values.reshape((n_maps, n_pixels, flat_width) + ts)
     out_vals = np.zeros((n_maps, n_pixels, ly.d_out) + ts, dtype=np.int64)
     for feats in batches:
         out_vals += np.einsum("mpj...,oj...->mpo...", x[:, :, feats],
@@ -289,17 +280,16 @@ def _run_fcu_layer(entry: LayerAllocation, name: str, feed: LayerSim,
     if bias is not None:
         out_vals += _expand_ts(bias, 1, ts)
     order = [u * h + sl for sl in range(h) for u in range(n_fcu)]
-    return LayerSim(list(out_vals), list(out_arr), order, n_pixels, busy,
-                    first_cycle, fifo_peak=peak)
+    return LayerSim(out_vals, out_arr, order, busy, first_cycle,
+                    fifo_peak=peak)
 
 
 def _signal_events(name: str, sim: LayerSim) -> list[tuple]:
     """(cycle, signal, value, valid) for every output of a layer (the value
     of the first trial), in emission order: by cycle, then channel."""
-    n_out, d_out = sim.arrivals[0].shape
-    cycles = np.concatenate([a.ravel() for a in sim.arrivals])
-    values = np.concatenate([v.reshape(n_out * d_out, -1)[:, 0]
-                             for v in sim.values])
+    n_out, d_out = sim.arrivals.shape[1:]
+    cycles = sim.arrivals.ravel()
+    values = sim.values.reshape(cycles.size, -1)[:, 0]
     pixels, chans = np.divmod(np.arange(cycles.size) % (n_out * d_out), d_out)
     return [(int(cycles[i]), f"{name}.y[{pixels[i]},{chans[i]}]",
              int(values[i]), True)
@@ -312,22 +302,26 @@ def simulate_network(plan: ArchitecturePlan, weights: dict,
                      collect_events: bool = False) -> SimResult:
     """Run every planned layer over one or more input maps.
 
-    x_maps: one (h, w, c, *trials) array or a list of them for back-to-back
-    maps.  Outputs are bit-exact against the reference inference under the
-    same truncate setting.
+    x_maps: one (h, w, c, *trials) array or a list of them, with the same
+    trial axes, for back-to-back maps.  Outputs are bit-exact against the
+    reference inference under the same truncate setting.
     """
     spec = plan.spec
     if isinstance(x_maps, np.ndarray):
         x_maps = [x_maps]
     h, w_, c = spec.input_shape
+    ts = tuple(x_maps[0].shape[3:])
     for xm in x_maps:
         if xm.shape[:3] != (h, w_, c):
             raise SimConfigError(
                 f"input map {xm.shape} does not match spec {(h, w_, c)}")
-    ts = tuple(x_maps[0].shape[3:])
+        if xm.shape[3:] != ts:
+            raise SimConfigError(
+                f"input map {xm.shape} has trial axes {xm.shape[3:]}, "
+                f"the first map {ts}")
     events: list[tuple] | None = [] if collect_events else None
 
-    feed = _input_layer([xm.astype(np.int64) for xm in x_maps],
+    feed = _input_layer(np.stack(x_maps).astype(np.int64, copy=False),
                         plan.layers[0].rate.r_in)
     sims: list[LayerSim] = []
     for entry in plan.layers:
@@ -340,6 +334,9 @@ def simulate_network(plan: ArchitecturePlan, weights: dict,
         entry_w = weights.get(name, {})
         w = entry_w.get("w")
         bias = entry_w.get("b")
+        if feed.arrivals.shape[1] != ly.f * ly.f:
+            raise SimConfigError(f"{name}: feed has {feed.arrivals.shape[1]} "
+                                 f"pixels, expected {ly.f * ly.f}")
         if ly.has_weights and w is None:
             raise SimConfigError(f"{name}: no weights provided")
         if w is not None:
@@ -349,20 +346,20 @@ def simulate_network(plan: ArchitecturePlan, weights: dict,
         if isinstance(entry.unit, FcuAllocation):
             sim = _run_fcu_layer(entry, name, feed, w, bias, ts)
         else:
-            sim = _run_conv_like(entry, name, feed, w, bias, ts)
+            sim = _run_conv_like(entry, feed, w, bias, ts)
         if events is not None:
             events += _signal_events(name, sim)
         if truncate:
             bits = spec.quant.activation_bits
-            sim.values = [wrap_to_width(v, bits) for v in sim.values]
+            sim.values = wrap_to_width(sim.values, bits)
         sims.append(sim)
         feed = sim
 
     last = sims[-1]
-    f_out = spec.layers[-1].f_out
-    outputs = [v.reshape((f_out, f_out, spec.layers[-1].d_out) + ts)
-               for v in last.values]
     n_maps = len(x_maps)
+    f_out = spec.layers[-1].f_out
+    outputs = last.values.reshape(
+        (n_maps, f_out, f_out, spec.layers[-1].d_out) + ts)
     utilization: list[Fraction | None] = []
     for sim in sims:
         if n_maps >= 2:
@@ -372,7 +369,7 @@ def simulate_network(plan: ArchitecturePlan, weights: dict,
         else:
             utilization.append(None)
     stats = SimStats(
-        cycles=int(max(int(a.max()) for a in last.arrivals)) + 1,
+        cycles=int(last.arrivals.max()) + 1,
         first_output_latency=int(last.arrivals[0].min()),
         utilization=utilization,
         fifo_peaks=[sim.fifo_peak for sim in sims],

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..rate import map_stream, output_valid, pad_tuple
+from ..rate import map_stream, output_valid
 from .units import FcuUnit, KpuUnit
 
 
@@ -81,8 +81,8 @@ def kpu_trace(f: int, k: int, p: int, weights: np.ndarray,
     valid output position.
     """
     unit = KpuUnit(k, f, 1, weights.reshape(1, k, k), p)
-    prefix, _, anchors = map_stream(f, p, len(maps))
-    total = len(anchors) + prefix
+    prefix, period = map_stream(f, p)
+    total = prefix + len(maps) * period
 
     tap_names = {(i, m): f"a_{i + 1}{m + 1}" for i in range(k)
                  for m in range(k - 1)}
@@ -93,7 +93,9 @@ def kpu_trace(f: int, k: int, p: int, weights: np.ndarray,
         tap_names[(i, m)] for i in range(k) for m in range(k)]
 
     def anchor(x: int) -> tuple[int, int] | None:
-        return anchors[x] if 0 <= x < len(anchors) else None
+        """(map, pixel) streaming in at position x + prefix, or None."""
+        m, n = divmod(x, period)
+        return (m, n) if 0 <= m < len(maps) and n < f * f else None
 
     trace = CycleTrace(columns)
     for t in range(total):
@@ -109,7 +111,7 @@ def kpu_trace(f: int, k: int, p: int, weights: np.ndarray,
         row.valid["x_n"] = True
         if p:
             row.signals["pad"] = "-" if col is None else \
-                "(" + ",".join(str(b) for b in pad_tuple(col, f, k, p)) + ")"
+                "(" + ",".join(str(b) for b in unit.gates[col]) + ")"
             row.valid["pad"] = col is not None
         for (i, m), val in taps.items():
             name = tap_names[(i, m)]

@@ -26,7 +26,7 @@ from collections import deque
 
 import numpy as np
 
-from ..rate import pad_tuple
+from ..rate import pad_gates
 
 
 class WidthOverflow(AssertionError):
@@ -54,7 +54,7 @@ class KpuUnit:
 
     def __init__(self, k: int, f: int, c: int, weights, p: int = 0,
                  width: int | None = None):
-        self.k, self.f, self.c, self.p = k, f, c, p
+        self.k, self.f, self.c = k, f, c
         self.width = width
         self.weights = np.asarray(weights)
         if self.weights.shape[:3] != (c, k, k):
@@ -64,7 +64,7 @@ class KpuUnit:
         self.chain = [[deque([0] * c) for _ in range(k - 1)] for _ in range(k)]
         self.lines = [deque([0] * depth_line) for _ in range(k - 1)]
         self.phase = 0
-        self._pad_cache: dict[int | None, tuple[int, ...]] = {}
+        self.gates = pad_gates(f, k, p)
 
     @property
     def latency(self) -> int:
@@ -74,21 +74,13 @@ class KpuUnit:
     def tap_delay(self, row: int, node: int) -> int:
         return (row * self.f + node) * self.c
 
-    def _pads(self, col: int | None) -> tuple[int, ...]:
-        if self.p == 0 or col is None:
-            return (1,) * self.k
-        if col not in self._pad_cache:
-            self._pad_cache[col] = pad_tuple(col, self.f, self.k, self.p)
-        return self._pad_cache[col]
-
     def step(self, x, col: int | None = None) -> dict[tuple[int, int], object]:
         k = self.k
         w = self.weights[self.phase]
         prods = w * x
-        pads = self._pads(col)
-        if 0 in pads:
-            mask = np.array(pads).reshape((1, k) + (1,) * (prods.ndim - 2))
-            prods = prods * mask
+        if col is not None:
+            prods = prods * self.gates[col].reshape(
+                (1, k) + (1,) * (prods.ndim - 2))
         taps: dict[tuple[int, int], object] = {}
         for i in range(k):
             for m in range(k):

@@ -57,6 +57,12 @@ def cases() -> list[list[str]]:
         out.append(["trace", rex, "--layer", "F1", "--format", fmt])
         out.append(["trace", rex, "--layer", "F1", "--min-h", "10",
                     "--format", fmt])
+        # stream positions decoded across map seams
+        out.append(["trace", rex, "--layer", "C1", "--maps", "2",
+                    "--format", fmt])
+    out.append(["trace", rex, "--layer", "C2", "--maps", "3", "--zero"])
+    out.append(["trace", "sweep_separable.json", "--layer", "0", "--maps",
+                "2"])
     return out
 
 

@@ -9,8 +9,7 @@ from flowcnn.alloc import plan_network
 from flowcnn.models import mobilenet_v1, random_network, running_example
 from flowcnn.netspec import parse_network
 from flowcnn.oracle import gen_network_weights, gen_random, ref_network
-from flowcnn.rate import (Flow, map_stream, pad_tuple, propagate_rates,
-                          valid_output_count)
+from flowcnn.rate import Flow, map_stream, pad_gates, propagate_rates
 from flowcnn.sim.engine import (SimConfigError, _chain, _paced, _windows,
                                 simulate_network)
 from flowcnn.sim.units import KpuUnit, PpuUnit, WidthOverflow
@@ -131,7 +130,7 @@ def test_valid_output_counts_per_map(rex_spec):
     res = simulate_network(plan, weights, xs)
     for sim, entry in zip(res.layers, plan.layers):
         ly = entry.layer
-        expected = valid_output_count(ly.f, ly.k, ly.s, ly.p) * ly.d_out
+        expected = ly.f_out ** 2 * ly.d_out
         for m in range(2):
             assert sim.values[m].shape[0] * sim.values[m].shape[1] == expected
 
@@ -398,8 +397,11 @@ def test_stepped_units_match_window_formula(k, extra, padded, n_maps, trials,
     f = k + extra
     p = (k - 1) // 2 if padded else 0
     rng = np.random.default_rng(seed)
-    prefix, _, anchors = map_stream(f, p, n_maps)
-    pixels = [None] * prefix + anchors
+    prefix, period = map_stream(f, p)
+    # (map, pixel) streaming in at each position, None for a padding zero
+    pixels = [None] * prefix + [
+        divmod(x, period) if x % period < f * f else None
+        for x in range(n_maps * period)]
     maps = rng.integers(-128, 128, size=(n_maps, f * f) + trials)
     # the engine's stream is led by one zero per delay-line register stage
     lat = (k - 1) * (f + 1)
@@ -408,7 +410,7 @@ def test_stepped_units_match_window_formula(k, extra, padded, n_maps, trials,
     for t, px in enumerate(pixels):
         if px is not None:
             x[lat + t] = maps[px]
-            gate[lat + t] = pad_tuple(px[1] % f, f, k, p)
+            gate[lat + t] = pad_gates(f, k, p)[px[1] % f]
     kernel = rng.integers(-128, 128, size=(k, k))
     [win] = _windows(x, gate, f, [kernel])
     [peak] = _windows(x, np.ones_like(gate), f, [None])
@@ -420,3 +422,27 @@ def test_stepped_units_match_window_formula(k, extra, padded, n_maps, trials,
         assert np.array_equal(kpu.step(x[lat + t], col)[(k - 1, k - 1)],
                               win[t])
         assert np.array_equal(ppu.step(x[lat + t]), peak[t])
+
+
+@pytest.mark.parametrize("tail", [[], [{"kind": "fc", "d_out": 2}]])
+def test_shared_pointwise_plan_rejected(tail):
+    # FCUs time-multiplexing several output channels are priced by the
+    # planner, but the engine emits one neuron set per FCU
+    spec = _spec([{"kind": "pw_conv", "d_out": 8}] + tail, h=4, c=4, rate=4)
+    plan = plan_network(spec, shared_pointwise_streams=True)
+    unit = plan.layers[0].unit
+    assert unit.n_fcu * unit.h < 8
+    weights = gen_network_weights(spec, 0)
+    with pytest.raises(SimConfigError, match="^L0: .* of 8 channels"):
+        simulate_network(plan, weights, gen_random((4, 4, 4), 1, 8))
+
+
+def test_input_maps_of_different_trial_shapes_rejected():
+    spec = _spec([{"kind": "conv", "k": 3, "s": 1, "p": 1, "d_out": 2}], h=4)
+    plan = plan_network(spec)
+    weights = gen_network_weights(spec, 0)
+    x = gen_random((4, 4, 1), 1, 8)
+    trials = np.stack([x] * 3, axis=-1)
+    for maps in ([x, trials], [trials, x]):
+        with pytest.raises(SimConfigError, match="trial axes"):
+            simulate_network(plan, weights, maps)

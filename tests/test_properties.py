@@ -14,7 +14,7 @@ from flowcnn.models import random_network
 from flowcnn.netspec import parse_network, serialize_network
 from flowcnn.oracle import (gen_network_weights, gen_random, ref_conv2d,
                             weights_to_json)
-from flowcnn.rate import output_valid, valid_output_count
+from flowcnn.rate import output_valid, valid_output_positions
 from flowcnn.sim.engine import simulate_network
 
 POW2_RATES = [Fraction(8), Fraction(4), Fraction(2), Fraction(1),
@@ -71,8 +71,8 @@ def test_valid_count_closed_form(f, k, p, s):
     p = min(p, (k - 1) // 2)
     if k > f + 2 * p:
         return
-    brute = sum(1 for n in range(f * f) if output_valid(n, f, k, s, p))
-    assert brute == valid_output_count(f, k, s, p)
+    brute = [n for n in range(f * f) if output_valid(n, f, k, s, p)]
+    assert valid_output_positions(f, k, s, p).tolist() == brute
 
 
 @settings(max_examples=15, deadline=None)
@@ -143,10 +143,7 @@ def test_rate_conservation_random_specs():
         infos = propagate_rates(spec)
         for sim, entry, info in zip(res.layers, plan.layers, infos):
             count = sim.values[0].shape[0] * sim.values[0].shape[1]
-            expected = valid_output_count(
-                entry.layer.f, entry.layer.k, entry.layer.s,
-                entry.layer.p) * entry.layer.d_out
-            assert count == expected
+            assert count == entry.layer.f_out ** 2 * entry.layer.d_out
             ly = entry.layer
             if ly.s == 1 and (ly.p == (ly.k - 1) // 2):
                 stream_cycles = Fraction(ly.feature_count) / info.r_in
