@@ -42,7 +42,6 @@ class ConvAllocation:
     i: int                 # output channels interleaved onto one stream
     n_streams_out: int
     accumulators: int      # cross-channel accumulation units (0 for dw)
-    depthwise: bool = False
     continuity_break: bool = False
     extra_hold_regs: int = 0
 
@@ -101,8 +100,6 @@ class LayerAllocation:
 class ArchitecturePlan:
     spec: NetworkSpec
     layers: list[LayerAllocation]
-    min_h: int = 1
-    parallel: bool = False
     cycle_budget: int = 0   # cycles to stream one feature map, steady state
 
     @property
@@ -149,7 +146,6 @@ def alloc_depthwise(d_in: int, r_in: Rate) -> ConvAllocation:
         i=1,
         n_streams_out=n_kpu,
         accumulators=0,
-        depthwise=True,
     )
 
 
@@ -309,7 +305,7 @@ def plan_network(spec: NetworkSpec,
                 f"internal wiring error between layers {prev.index} and "
                 f"{cur.index}: rate {feeds} vs {expected}")
 
-    plan = ArchitecturePlan(spec, entries, min_h=min_h, parallel=parallel)
+    plan = ArchitecturePlan(spec, entries)
     worst_case_widths(plan, spec.quant)
     plan.cycle_budget = max(
         math.ceil(Fraction(e.layer.feature_count) / e.rate.r_in)

@@ -211,7 +211,7 @@ def cmd_sweep(args) -> int:
     d_out = spec.layers[idx + 1].d_out if paired else ly.d_out
     rates = _parse_rates(args.rates)
     rows = sweep_rates(ly.f, ly.k, ly.p, ly.d_in, d_out, rates,
-                       separable=separable, min_h=args.min_h)
+                       separable=separable, min_h=args.min_h, s=ly.s)
     headers = ["r_in", "add", "mul", "reg", "mux2", "KPU", "FCU", "stall"]
     table = []
     for row in rows:

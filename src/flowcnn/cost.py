@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .alloc import (ArchitecturePlan, ConvAllocation, FcuAllocation,
-                    LayerAllocation, PoolAllocation, alloc_conv,
-                    alloc_depthwise, alloc_pointwise, plan_network)
+                    LayerAllocation, PoolAllocation, plan_network)
 from .netspec import LayerKind, LayerSpec, NetworkSpec
-from .rate import Flow, Rate, classify_flow
+from .rate import Flow, Rate
 
 
 @dataclass(frozen=True)
@@ -182,7 +181,7 @@ def layer_cost(entry: LayerAllocation, scope: CostScope,
         if unit.accumulators:
             vec = vec + accumulator_cost(ly.d_out, unit.i, unit.n_kpu)
         if scope.include_bias and ly.has_bias:
-            if unit.depthwise:
+            if ly.kind == LayerKind.DW_CONV:
                 vec = vec + bias_cost(ly.d_out, -(-ly.d_out // unit.n_kpu))
             else:
                 vec = vec + bias_cost(ly.d_out, unit.i)
@@ -250,32 +249,28 @@ class SweepRow:
 
 def sweep_rates(f: int, k: int, p: int, d_in: int, d_out: int,
                 rates: list[Rate], separable: bool = False,
-                min_h: int = 1) -> list[SweepRow]:
+                min_h: int = 1, s: int = 1) -> list[SweepRow]:
     """Resource cost of one layer geometry across input data rates.
 
-    Unit-only accounting (bias and inter-layer interleaving left out); rows
-    where interleaving cannot restore continuous flow are flagged stalled.
+    The swept layer is a standard conv, or with separable a depthwise stage
+    followed by its pointwise partner at the stage's output rate.  Each row
+    is the table7 pricing of that one-layer (or one-pair) network's plan at
+    input rate r, so it carries output-hold registers and weights like any
+    planned layer; the row is flagged stalled when the first layer stalls.
     """
+    if separable:
+        dw = LayerSpec(LayerKind.DW_CONV, f, k, s, p, d_in, d_in)
+        layers = [dw, LayerSpec(LayerKind.PW_CONV, dw.f_out, 1, 1, 0, d_in,
+                                d_out, internal_input=True)]
+    else:
+        layers = [LayerSpec(LayerKind.CONV, f, k, s, p, d_in, d_out)]
     rows: list[SweepRow] = []
-    layer = (LayerSpec(LayerKind.DW_CONV, f, k, 1, p, d_in, d_in) if separable
-             else LayerSpec(LayerKind.CONV, f, k, 1, p, d_in, d_out))
     for r in rates:
         r = Fraction(r)
-        info = classify_flow(layer, r)
-        stalled = info.flow is Flow.STALLED
-        if separable:
-            dw = alloc_depthwise(d_in, r)
-            pw = alloc_pointwise(d_in, d_out, info.r_out, min_h)
-            vec = (kpu_cost(k, f, dw.c).scaled(dw.n_kpu)
-                   + ResourceVector(registers=d_in)   # dw->pw link FIFO
-                   + fcu_cost(pw.j, pw.h, pw.c, pw.n_fcu))
-            rows.append(SweepRow(r, vec, dw.n_kpu, pw.n_fcu, stalled))
-        else:
-            unit = alloc_conv(d_in, d_out, r)
-            vec = kpu_cost(k, f, unit.c).scaled(unit.n_kpu)
-            if unit.accumulators:
-                vec = vec + accumulator_cost(d_out, unit.i, unit.n_kpu)
-            rows.append(SweepRow(r, vec, unit.n_kpu, 0, stalled))
+        plan = plan_network(NetworkSpec(layers, (f, f, d_in), r), min_h=min_h)
+        report = network_cost(plan, SCOPE_TABLE7)
+        rows.append(SweepRow(r, report.total, report.total_kpu,
+                             report.total_fcu, report.rows[0].stalled))
     return rows
 
 

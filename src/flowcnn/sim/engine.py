@@ -26,13 +26,12 @@ trials with identical control flow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ..alloc import (ArchitecturePlan, ConvAllocation, FcuAllocation,
-                     LayerAllocation, PoolAllocation)
+from ..alloc import ArchitecturePlan, FcuAllocation, LayerAllocation
 from ..netspec import LayerKind
 from ..oracle import wrap_to_width
 from ..rate import map_stream, pad_gates, valid_output_positions
@@ -61,7 +60,6 @@ class SimStats:
     first_output_latency: int
     utilization: list[Fraction | None]
     fifo_peaks: list[int]
-    stall_warnings: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -160,9 +158,8 @@ def _run_conv_like(entry: LayerAllocation, feed: LayerSim, w, bias,
     ly = entry.layer
     f, k, s, p, d_in, d_out = ly.f, ly.k, ly.s, ly.p, ly.d_in, ly.d_out
     unit_alloc = entry.unit
-    is_pool = isinstance(unit_alloc, PoolAllocation)
-    depthwise = isinstance(unit_alloc, ConvAllocation) and unit_alloc.depthwise
-    standard = isinstance(unit_alloc, ConvAllocation) and not depthwise
+    is_pool = ly.kind == LayerKind.MAXPOOL
+    standard = ly.kind == LayerKind.CONV
     n_maps = len(feed.arrivals)
 
     streams = math.ceil(entry.rate.r_in)
@@ -373,6 +370,5 @@ def simulate_network(plan: ArchitecturePlan, weights: dict,
         first_output_latency=int(last.arrivals[0].min()),
         utilization=utilization,
         fifo_peaks=[sim.fifo_peak for sim in sims],
-        stall_warnings=list(plan.warnings),
     )
     return SimResult(outputs, stats, sims, events)

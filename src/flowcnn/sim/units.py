@@ -13,7 +13,8 @@ belongs to the sliding window that started (i*f + m) * C cycles earlier.
 Implicit zero padding gates multiplier column m to zero while an edge pixel
 streams in, so the input order never changes.
 
-PPU: the same pipeline with max() in place of multiply-accumulate.
+PPU: the KPU pipeline with max() in place of multiply-accumulate (a
+KpuUnit without weights).
 
 FCU: holds j inputs while cycling through weight configurations; a depth-h
 buffer keeps h running neuron sums; the h outputs become valid during the
@@ -22,6 +23,7 @@ last input round.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 
 import numpy as np
@@ -46,18 +48,19 @@ def _check_width(value, bits: int | None, where: str) -> None:
 class KpuUnit:
     """Sliding-window multiply-accumulate engine.
 
-    weights has shape (C, k, k, ...).  step() consumes one input sample (the
-    same broadcastable trailing shape) and the map column it sits in, and
-    returns the partial-sum taps {(row, node): value}; the window result is
-    tap (k-1, k-1).
+    weights has shape (C, k, k, ...); None makes the unit a PPU, the same
+    pipeline with max() in place of multiply-accumulate.  step() consumes
+    one input sample (the same broadcastable trailing shape) and the map
+    column it sits in, and returns the partial-sum taps {(row, node):
+    value}; the window result is tap (k-1, k-1).
     """
 
     def __init__(self, k: int, f: int, c: int, weights, p: int = 0,
                  width: int | None = None):
         self.k, self.f, self.c = k, f, c
         self.width = width
-        self.weights = np.asarray(weights)
-        if self.weights.shape[:3] != (c, k, k):
+        self.weights = None if weights is None else np.asarray(weights)
+        if self.weights is not None and self.weights.shape[:3] != (c, k, k):
             raise ValueError(
                 f"weights {self.weights.shape} != (C={c}, k={k}, k={k}, ...)")
         depth_line = (f - k + 1) * c
@@ -76,8 +79,12 @@ class KpuUnit:
 
     def step(self, x, col: int | None = None) -> dict[tuple[int, int], object]:
         k = self.k
-        w = self.weights[self.phase]
-        prods = w * x
+        if self.weights is None:
+            prods = np.broadcast_to(x, (k, k) + np.shape(x))
+            join, where = np.maximum, "PPU window max"
+        else:
+            prods = self.weights[self.phase] * x
+            join, where = operator.add, "KPU window sum"
         if col is not None:
             prods = prods * self.gates[col].reshape(
                 (1, k) + (1,) * (prods.ndim - 2))
@@ -87,50 +94,17 @@ class KpuUnit:
                 if i == 0 and m == 0:
                     node = prods[0, 0]
                 elif m == 0:
-                    node = self.lines[i - 1].popleft() + prods[i, 0]
+                    node = join(self.lines[i - 1].popleft(), prods[i, 0])
                 else:
-                    node = self.chain[i][m - 1].popleft() + prods[i, m]
+                    node = join(self.chain[i][m - 1].popleft(), prods[i, m])
                 if m < k - 1:
                     self.chain[i][m].append(node)
                 elif i < k - 1:
                     self.lines[i].append(node)
                 taps[(i, m)] = node
-        _check_width(taps[(k - 1, k - 1)], self.width, "KPU window sum")
+        _check_width(taps[(k - 1, k - 1)], self.width, where)
         self.phase = (self.phase + 1) % self.c
         return taps
-
-
-class PpuUnit:
-    """Sliding-window pooling engine: the KPU pipeline with max()."""
-
-    def __init__(self, k: int, f: int, c: int, width: int | None = None):
-        self.k, self.f, self.c = k, f, c
-        self.width = width
-        depth_line = (f - k + 1) * c
-        self.chain = [[deque([0] * c) for _ in range(k - 1)] for _ in range(k)]
-        self.lines = [deque([0] * depth_line) for _ in range(k - 1)]
-
-    @property
-    def latency(self) -> int:
-        return (self.k - 1) * (self.f + 1) * self.c
-
-    def step(self, x) -> object:
-        k = self.k
-        node = x   # k = 1 degenerates to a wire
-        for i in range(k):
-            for m in range(k):
-                if i == 0 and m == 0:
-                    node = x
-                elif m == 0:
-                    node = np.maximum(self.lines[i - 1].popleft(), x)
-                else:
-                    node = np.maximum(self.chain[i][m - 1].popleft(), x)
-                if m < k - 1:
-                    self.chain[i][m].append(node)
-                elif i < k - 1:
-                    self.lines[i].append(node)
-        _check_width(node, self.width, "PPU window max")
-        return node
 
 
 class FcuUnit:

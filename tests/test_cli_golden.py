@@ -38,6 +38,13 @@ def cases() -> list[list[str]]:
         for fmt in FORMATS:
             out.append(["sweep", doc, "--layer", "0", "--rates", SWEEP_RATES,
                         "--format", fmt])
+    # a conv swept as a separable pair, and a conv of a network swept at
+    # rates around its own
+    for fmt in ("text", "json"):
+        out.append(["sweep", "sweep_conv.json", "--layer", "0", "--separable",
+                    "--rates", "8,4,2,1,1/2,1/4", "--format", fmt])
+        out.append(["sweep", "running_example.json", "--layer", "C2",
+                    "--rates", "8,4,2,1,1/2", "--format", fmt])
     rex = "running_example.json"
     for fmt in ("text", "json"):
         out.append(["simulate", rex, "--maps", "3", "--trace", "C2",

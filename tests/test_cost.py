@@ -1,12 +1,15 @@
 from fractions import Fraction
 
+import pytest
+
 from flowcnn.alloc import plan_network
-from flowcnn.cost import (SCOPE_TABLE6, SCOPE_TABLE9,
+from flowcnn.cost import (SCOPE_TABLE6, SCOPE_TABLE7, SCOPE_TABLE9, ZERO,
                           ResourceVector, accumulator_cost, approx_display,
                           bias_cost, display_range, fcu_cost,
                           fully_parallel_reference_cost, interleaver_cost,
                           kpu_cost, network_cost, ppu_cost, sweep_rates)
-from flowcnn.models import mobilenet_v1
+from flowcnn.models import mobilenet_v1, running_example
+from flowcnn.netspec import LayerKind
 
 RATES_FULL = [Fraction(8), Fraction(4), Fraction(2), Fraction(1),
               Fraction(1, 2), Fraction(1, 4), Fraction(1, 8),
@@ -110,6 +113,43 @@ def test_separable_sweep_matches_reference_rows():
 
 def test_empty_sweep():
     assert sweep_rates(28, 7, 3, 8, 16, []) == []
+
+
+@pytest.mark.parametrize("spec, n_swept", [
+    (running_example(), 2), (mobilenet_v1(0.25), 14), (mobilenet_v1(1.0), 14)],
+    ids=["rex", "mbv1-0.25", "mbv1-1.0"])
+def test_sweep_row_is_table7_pricing_of_the_plan(spec, n_swept):
+    # a conv, or a depthwise stage with its pointwise partner, swept at its
+    # own input rate and stride costs what table7 charges those rows
+    plan = plan_network(spec)
+    report = network_cost(plan, SCOPE_TABLE7)
+    checked = 0
+    for i, ly in enumerate(spec.layers):
+        if ly.kind == LayerKind.CONV:
+            n = 1
+        elif (ly.kind == LayerKind.DW_CONV and i + 1 < len(spec.layers)
+              and spec.layers[i + 1].internal_input):
+            n = 2
+        else:
+            continue
+        [row] = sweep_rates(ly.f, ly.k, ly.p, ly.d_in,
+                            spec.layers[i + n - 1].d_out,
+                            [plan.layers[i].rate.r_in], separable=n == 2,
+                            s=ly.s)
+        rows = report.rows[i:i + n]
+        assert row.vector == sum((r.vector for r in rows), ZERO), i
+        assert (row.n_kpu, row.n_fcu, row.stalled) == (
+            sum(r.n_kpu for r in rows), sum(r.n_fcu for r in rows),
+            rows[0].stalled), i
+        checked += 1
+    assert checked == n_swept
+
+
+def test_sweep_prices_output_hold_registers():
+    # 8 -> 10 channels at 1/4: 3 KPUs for 10 streams, so continuity breaks
+    # and the plan holds every output channel in one more register
+    [row] = sweep_rates(12, 3, 1, 8, 10, [Fraction(1, 4)])
+    assert row.vector.registers == 2516
 
 
 def test_register_count_invariant_under_rate():

@@ -10,7 +10,7 @@ import pytest
 
 from flowcnn.oracle import ref_conv2d
 from flowcnn.sim.trace import fcu_trace, kpu_trace
-from flowcnn.sim.units import KpuUnit, PpuUnit, WidthOverflow
+from flowcnn.sim.units import KpuUnit, WidthOverflow
 
 F, K = 5, 3
 UNPADDED_VALID = [0, 1, 2, 5, 6, 7, 10, 11, 12]
@@ -118,10 +118,10 @@ def test_kpu_interleaved_configurations():
 def test_ppu_window_max():
     rng = np.random.default_rng(3)
     x = rng.integers(-100, 100, size=25)
-    unit = PpuUnit(2, F, 1)
+    unit = KpuUnit(2, F, 1, None)
     got = {}
     for n in range(25):
-        y = unit.step(int(x[n]))
+        y = unit.step(int(x[n]))[(1, 1)]
         w = n - unit.latency
         if w >= 0:
             got[w] = y
