@@ -207,6 +207,10 @@ def cmd_sweep(args) -> int:
     # the separable pair
     paired = (ly.kind == LayerKind.DW_CONV and idx + 1 < len(spec.layers)
               and spec.layers[idx + 1].internal_input)
+    if ly.kind != LayerKind.CONV and not paired:
+        raise CliError(f"cannot sweep layer {spec.layer_name(idx)!r} "
+                       f"({ly.kind.value}): only a conv or a depthwise stage "
+                       f"with its pointwise partner sweeps")
     separable = args.separable or paired
     d_out = spec.layers[idx + 1].d_out if paired else ly.d_out
     rates = _parse_rates(args.rates)

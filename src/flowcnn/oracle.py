@@ -48,8 +48,9 @@ def ref_conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     d_out, d_in = w.shape[0], w.shape[1]
     if x.shape[2] != d_in:
         raise OracleError(f"input channels {x.shape[2]} != weights {d_in}")
-    win = _windows(x, w.shape[2], s, p)
-    out = np.einsum("rcabi,oiab->rco", win, w, dtype=np.int64)
+    win = _windows(x, w.shape[2], s, p).astype(np.int64, copy=False)
+    out = np.tensordot(win, w.astype(np.int64, copy=False),
+                       axes=([2, 3, 4], [2, 3, 1]))
     if bias is not None:
         out = out + np.asarray(bias, dtype=np.int64)
     return out

@@ -17,7 +17,10 @@ Output stamps, first cycles, busy counts, FIFO occupancy and signal events
 all follow from it in closed form.  The values follow from the delay-line
 formula in array form: a KPU or PPU window is a fixed sum or max of taps
 that streamed in a fixed number of positions earlier (`_windows`), and an
-FCU neuron is a running sum over its batches.  The cycle-stepped units in
+FCU neuron is a running sum over its batches.  A standard conv's windows
+are, per input channel, a tap matrix times a kernel matrix
+(`_kernel_products`), in float64 when the exact bound max|x| * max sum|w|
+is below 2**53 and in int64 otherwise.  The cycle-stepped units in
 `units` are the reference model this formula is tested against.  Values may
 carry trailing trial dimensions; the whole simulation is then batched across
 trials with identical control flow.
@@ -30,12 +33,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..alloc import ArchitecturePlan, FcuAllocation, LayerAllocation
 from ..netspec import LayerKind
 from ..oracle import wrap_to_width
 from ..rate import map_stream, pad_gates, valid_output_positions
-from .units import _check_width
+from .units import _check_width, _peak
+
+CHUNK_ELEMENTS = 1 << 18   # bound on a tap or product chunk of a standard conv
+EXACT_FLOAT = 1 << 53      # float64 adds integers below this exactly
 
 
 class SimConfigError(Exception):
@@ -122,9 +129,9 @@ def _chain(ready_at: np.ndarray, glen: int) -> np.ndarray:
     return lead + np.maximum.accumulate(ready_at - lead)
 
 
-def _windows(x: np.ndarray, gate: np.ndarray, f: int, kernels):
+def _windows(x: np.ndarray, gate: np.ndarray, f: int, kernel) -> np.ndarray:
     """Window results of a k x k transposed-form delay line fed one value
-    per stream position, once per kernel in turn.
+    per stream position.
 
     x: (lat + n_pos, *TS) inputs, led by lat = (k-1)*(f+1) zeros because the
     registers start at zero, and 0 at padding positions; gate: (lat + n_pos,
@@ -132,25 +139,97 @@ def _windows(x: np.ndarray, gate: np.ndarray, f: int, kernels):
     m) of the window completing at position t reads the input D = (k-1-i)*f
     + (k-1-m) positions earlier, x[lat + t - D] = x[t + i*f + m], with
     column gate m.  A kernel (k, k, ...) sums kernel[i, m] * tap; None takes
-    the max of the taps (a PPU).  Each window array has n_pos entries.
+    the max of the taps (a PPU).  The window array has n_pos entries.
     """
     k = gate.shape[1]
     n = len(x) - (k - 1) * (f + 1)
-    gates = [None if g.all() else g.reshape(g.shape + (1,) * (x.ndim - 1))
-             for g in gate.T]
-    for kernel in kernels:
-        win = None
-        for m, g in enumerate(gates):
-            col = x if g is None else x * g
+    win = None
+    for m, g in enumerate(gate.T):
+        col = x if g.all() else x * g.reshape(g.shape + (1,) * (x.ndim - 1))
+        for i in range(k):
+            tap = col[i * f + m:i * f + m + n]
+            if kernel is None:
+                win = tap if win is None else np.maximum(win, tap)
+            elif win is None:
+                win = kernel[i, m] * tap
+            else:
+                win += kernel[i, m] * tap
+    return win
+
+
+def _product_dtype(values: np.ndarray, w: np.ndarray):
+    """The dtype a standard conv's tap x kernel products run in.
+
+    max|values| * max over (oc, ch) of sum |w[oc, ch]| bounds every partial
+    sum of every window, in any order of addition.  Below 2**53 float64
+    (BLAS) adds those integers exactly; otherwise int64 wraps them mod 2**64
+    as the delay line does.  The bound is computed in Python ints.
+    """
+    kk = w.shape[2] * w.shape[3]
+    if _peak(w) * kk < 1 << 63:              # |w| and its sums fit int64
+        w_sum = int(np.abs(w).sum(axis=(2, 3)).max())
+    else:
+        w_sum = int(np.abs(w.astype(object)).sum(axis=(2, 3)).max())
+    return np.float64 if _peak(values) * w_sum < EXACT_FLOAT else np.int64
+
+
+def _kernel_products(values: np.ndarray, w: np.ndarray, gate: np.ndarray,
+                     f: int, x_pos: np.ndarray, win_pos: np.ndarray,
+                     bits: int | None) -> np.ndarray:
+    """A standard conv's window sums at the valid output positions, summed
+    over input channels: (n_maps, n_out, d_out, *TS).
+
+    The window of pair (ch, oc) completing at stream position t sums
+    w[oc, ch, i, m] times tap (i, m), the gated input x[t + i*f + m] that
+    `_windows` reads.  Per input channel that is one product of the
+    (positions, *TS, k*k) tap matrix with the (k*k, d_out) kernel matrix
+    (one per trial for stacked weights), built in chunks of positions so
+    that memory stays bounded.  Column oc of the product is the window
+    array of pair (ch, oc), invalid windows included; its peak passes the
+    width check in (ch, oc) order.
+    """
+    d_out, d_in, k = w.shape[:3]
+    kk = k * k
+    ts = values.shape[3:]
+    n_trials = math.prod(ts)
+    sets = n_trials if w.ndim > 4 else 1      # kernel matrices per channel
+    if w.ndim > 4:
+        w = np.broadcast_to(w, w.shape[:4] + ts)
+    dtype = _product_dtype(values, w)
+    length = len(gate)
+    n_pos = length - (k - 1) * (f + 1)
+    # gated[m, t]: the column-m gate of the input at t + m
+    gated = np.stack([gate[m:length - k + 1 + m, m] for m in range(k)]) \
+        .astype(dtype)[:, :, None]
+    x = np.zeros((length, n_trials), dtype=dtype)
+    rows = sliding_window_view(x, k, axis=0)      # rows[t, :, m] = x[t + m]
+    wins = win_pos.ravel()
+    # one (d_out, k*k) kernel matrix per set of n_trials // sets trials
+    acc = np.zeros((wins.size, d_out, sets, n_trials // sets), dtype=np.int64)
+    step = max(1, CHUNK_ELEMENTS // (n_trials * max(kk, d_out)))
+    for ch in range(d_in):
+        x[x_pos.ravel()] = values[:, :, ch].reshape(-1, n_trials)
+        kernels = w[:, ch].reshape(d_out, kk, sets).transpose(2, 0, 1) \
+            .astype(dtype)
+        lows, highs = [], []
+        for a in range(0, n_pos, step):
+            c = min(step, n_pos - a)
+            taps = np.empty((k, k, c, n_trials), dtype=dtype)
             for i in range(k):
-                tap = col[i * f + m:i * f + m + n]
-                if kernel is None:
-                    win = tap if win is None else np.maximum(win, tap)
-                elif win is None:
-                    win = kernel[i, m] * tap
-                else:
-                    win += kernel[i, m] * tap
-        yield win
+                t = slice(a + i * f, a + i * f + c)
+                np.multiply(rows[t].transpose(2, 0, 1), gated[:, t],
+                            out=taps[i])
+            prod = kernels @ taps.reshape(kk, c, sets, -1) \
+                .transpose(2, 0, 1, 3).reshape(sets, kk, -1)
+            lows.append(prod.min(axis=(0, 2)))
+            highs.append(prod.max(axis=(0, 2)))
+            j0, j1 = np.searchsorted(wins, (a, a + c))
+            sel = prod.reshape(sets, d_out, c, -1)[:, :, wins[j0:j1] - a]
+            acc[j0:j1] += sel.astype(np.int64, copy=False).transpose(2, 1, 0, 3)
+        extremes = np.stack((np.min(lows, axis=0), np.max(highs, axis=0)))
+        for oc in range(d_out):
+            _check_width(extremes[:, oc], bits, "KPU window sum")
+    return acc.reshape(win_pos.shape + (d_out,) + ts)
 
 
 def _run_conv_like(entry: LayerAllocation, feed: LayerSim, w, bias,
@@ -201,18 +280,18 @@ def _run_conv_like(entry: LayerAllocation, feed: LayerSim, w, bias,
     # are independent lanes, so the slot a pair occupies does not matter.
     gate = np.ones((lat_pos + n_pos, k), dtype=np.int64)
     gate[lat_pos + pix_pos] = np.tile(pad_gates(f, k, p), (f, 1))
-    where = "PPU window max" if is_pool else "KPU window sum"
-    out_vals = np.zeros((n_maps, n_out, d_out) + ts, dtype=np.int64)
-    x = np.zeros((lat_pos + n_pos,) + ts, dtype=np.int64)
-    for ch in range(d_in):
-        x[lat_pos + pix_pos] = feed.values[:, :, ch]
-        if standard:
-            ocs, kernels = range(d_out), w[:, ch]
-        else:
-            ocs, kernels = [ch], [None if is_pool else w[ch]]
-        for oc, win in zip(ocs, _windows(x, gate, f, kernels)):
+    if standard:
+        out_vals = _kernel_products(feed.values, w, gate, f, lat_pos + pix_pos,
+                                    win_pos, entry.acc_width)
+    else:
+        where = "PPU window max" if is_pool else "KPU window sum"
+        out_vals = np.zeros((n_maps, n_out, d_out) + ts, dtype=np.int64)
+        x = np.zeros((lat_pos + n_pos,) + ts, dtype=np.int64)
+        for ch in range(d_in):
+            x[lat_pos + pix_pos] = feed.values[:, :, ch]
+            win = _windows(x, gate, f, None if is_pool else w[ch])
             _check_width(win, entry.acc_width, where)
-            out_vals[:, :, oc] += win[win_pos]
+            out_vals[:, :, ch] = win[win_pos]
 
     if ly.post_divisor > 1:
         out_vals //= ly.post_divisor

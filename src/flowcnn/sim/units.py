@@ -35,12 +35,19 @@ class WidthOverflow(AssertionError):
     """A datapath value exceeded its worst-case width analysis."""
 
 
+def _peak(value) -> int:
+    """max |v| over an int or an array, exact for every int64 (np.abs leaves
+    -2**63 negative)."""
+    if isinstance(value, np.ndarray):
+        return max(-int(value.min()), int(value.max()))
+    return abs(int(value))
+
+
 def _check_width(value, bits: int | None, where: str) -> None:
     if bits is None:
         return
-    limit = 1 << (bits - 1)
-    peak = int(np.max(np.abs(value))) if isinstance(value, np.ndarray) else abs(value)
-    if peak >= limit:
+    peak = _peak(value)
+    if peak >= 1 << (bits - 1):
         raise WidthOverflow(
             f"{where}: |{peak}| does not fit signed {bits}-bit")
 

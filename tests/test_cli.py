@@ -3,7 +3,8 @@ import json
 import pytest
 
 from flowcnn.cli import main
-from flowcnn.models import running_example
+from flowcnn.models import mobilenet_v1, running_example
+from flowcnn.netspec import serialize_network
 from flowcnn.oracle import gen_network_weights, gen_random, save_tensor, \
     weights_to_json
 
@@ -159,12 +160,15 @@ def test_compare_detects_divergence(capsys, tmp_path, rex_file, monkeypatch):
     assert "MISMATCH" in out
 
 
-def test_analyze_scaled_model_row_count(capsys, tmp_path):
-    from flowcnn.models import mobilenet_v1
-    from flowcnn.netspec import serialize_network
+@pytest.fixture()
+def mbv1_file(tmp_path):
     path = tmp_path / "mobilenet025.json"
     path.write_text(json.dumps(serialize_network(mobilenet_v1(0.25))))
-    code, out, _ = run(capsys, "analyze", str(path))
+    return str(path)
+
+
+def test_analyze_scaled_model_row_count(capsys, mbv1_file):
+    code, out, _ = run(capsys, "analyze", mbv1_file)
     assert code == 0
     rows = [l for l in out.splitlines()[1:] if l and not l.startswith("!")]
     assert len(rows) == 29
@@ -172,15 +176,25 @@ def test_analyze_scaled_model_row_count(capsys, tmp_path):
     assert any(l.startswith("!") and "stalls" in l for l in out.splitlines())
 
 
-@pytest.mark.parametrize("argv", [
-    ["trace", "--layer", "99"],
-    ["trace", "--layer", "-1"],
-    ["sweep", "--layer", "C1", "--rates", "0"],
-    ["sweep", "--layer", "C1", "--rates", "-1"],
-    ["simulate", "--maps", "0"],
-    ["compare", "--trials", "0"],
-], ids=" ".join)
-def test_bad_input_exits_2(capsys, rex_file, argv):
-    code, out, err = run(capsys, argv[0], rex_file, *argv[1:])
+def _bad(*argv, doc="rex_file"):
+    return pytest.param(doc, list(argv), id=" ".join(argv))
+
+
+@pytest.mark.parametrize("doc,argv", [
+    _bad("trace", "--layer", "99"),
+    _bad("trace", "--layer", "-1"),
+    _bad("sweep", "--layer", "C1", "--rates", "0"),
+    _bad("sweep", "--layer", "C1", "--rates", "-1"),
+    # only a conv or a depthwise stage with its pointwise partner sweeps:
+    # not a pool, a fully connected layer or an unpaired depthwise layer
+    _bad("sweep", "--layer", "P1", "--rates", "8"),
+    _bad("sweep", "--layer", "F1", "--rates", "1"),
+    _bad("sweep", "--layer", "avgpool", "--rates", "1", doc="mbv1_file"),
+    _bad("simulate", "--maps", "0"),
+    _bad("compare", "--trials", "0"),
+])
+def test_bad_input_exits_2(capsys, request, doc, argv):
+    path = request.getfixturevalue(doc)
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -9,10 +9,13 @@ from flowcnn.alloc import plan_network
 from flowcnn.models import mobilenet_v1, random_network, running_example
 from flowcnn.netspec import parse_network
 from flowcnn.oracle import gen_network_weights, gen_random, ref_network
-from flowcnn.rate import Flow, map_stream, pad_gates, propagate_rates
-from flowcnn.sim.engine import (SimConfigError, _chain, _paced, _windows,
+from flowcnn.rate import (Flow, map_stream, pad_gates, propagate_rates,
+                          valid_output_positions)
+from flowcnn.sim import engine
+from flowcnn.sim.engine import (SimConfigError, _chain, _kernel_products,
+                                _paced, _product_dtype, _windows,
                                 simulate_network)
-from flowcnn.sim.units import KpuUnit, WidthOverflow
+from flowcnn.sim.units import KpuUnit, WidthOverflow, _check_width
 
 
 def _spec(layers, h=8, c=1, rate=None, w=None):
@@ -443,8 +446,8 @@ def test_stepped_units_match_window_formula(k, extra, padded, n_maps, trials,
             x[lat + t] = maps[px]
             gate[lat + t] = pad_gates(f, k, p)[px[1] % f]
     kernel = rng.integers(-128, 128, size=(k, k))
-    [win] = _windows(x, gate, f, [kernel])
-    [peak] = _windows(x, np.ones_like(gate), f, [None])
+    win = _windows(x, gate, f, kernel)
+    peak = _windows(x, np.ones_like(gate), f, None)
 
     kpu = KpuUnit(k, f, 1, kernel.reshape((1, k, k) + (1,) * len(trials)), p)
     ppu = KpuUnit(k, f, 1, None)
@@ -477,3 +480,154 @@ def test_input_maps_of_different_trial_shapes_rejected():
     for maps in ([x, trials], [trials, x]):
         with pytest.raises(SimConfigError, match="trial axes"):
             simulate_network(plan, weights, maps)
+
+
+def _conv_stream(f, k, s, p, n_maps):
+    """The engine's stream layout for one conv layer: the positions of the
+    map pixels (n_maps, f*f) behind the lat leading zeros, the column gate
+    table, and the positions where the valid windows complete."""
+    prefix, period = map_stream(f, p)
+    lat = (k - 1) * (f + 1)
+    map_base = np.arange(n_maps)[:, None] * period
+    x_pos = lat + prefix + map_base + np.arange(f * f)
+    gate = np.ones((lat + prefix + n_maps * period, k), dtype=np.int64)
+    gate[x_pos] = np.tile(pad_gates(f, k, p), (f, 1))
+    return x_pos, gate, lat + map_base + valid_output_positions(f, k, s, p)
+
+
+def _pair_loop(values, w, gate, f, x_pos, win_pos, bits):
+    """One delay line per (input, output) channel pair, each width-checked
+    in (ch, oc) order and summed at the valid positions."""
+    ts = values.shape[3:]
+    out = np.zeros(win_pos.shape + (w.shape[0],) + ts, dtype=np.int64)
+    x = np.zeros((len(gate),) + ts, dtype=np.int64)
+    for ch in range(w.shape[1]):
+        x[x_pos] = values[:, :, ch]
+        for oc in range(w.shape[0]):
+            win = _windows(x, gate, f, w[oc, ch])
+            _check_width(win, bits, "KPU window sum")
+            out[:, :, oc] += win[win_pos]
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except WidthOverflow as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.sampled_from([1, 2, 3, 5]), extra=st.integers(0, 3),
+       padded=st.booleans(), s=st.integers(1, 3), d_in=st.integers(1, 3),
+       d_out=st.integers(1, 4), n_maps=st.integers(1, 3),
+       trials=st.sampled_from([(), (2,), (2, 3)]), stacked=st.booleans(),
+       bits=st.integers(12, 24), chunk=st.sampled_from([1, 100, 1 << 18]),
+       seed=st.integers(0, 2**16))
+def test_kernel_products_match_delay_lines(k, extra, padded, s, d_in, d_out,
+                                           n_maps, trials, stacked, bits,
+                                           chunk, seed):
+    # small chunks split the stream into many chunks of positions
+    real_chunk = engine.CHUNK_ELEMENTS
+    engine.CHUNK_ELEMENTS = chunk
+    try:
+        _check_kernel_products(k, k + extra, (k - 1) // 2 if padded else 0,
+                               s, d_in, d_out, n_maps, trials, stacked, bits,
+                               seed)
+    finally:
+        engine.CHUNK_ELEMENTS = real_chunk
+
+
+def _check_kernel_products(k, f, p, s, d_in, d_out, n_maps, trials, stacked,
+                           bits, seed):
+    rng = np.random.default_rng(seed)
+    x_pos, gate, win_pos = _conv_stream(f, k, s, p, n_maps)
+    values = rng.integers(-128, 128, size=(n_maps, f * f, d_in) + trials)
+    w = rng.integers(-128, 128, size=(d_out, d_in, k, k)
+                     + (trials if stacked else ()))
+
+    # every pair's window array, at every stream position: the product
+    # with one input channel's kernels left in is that channel's pairs
+    every = np.arange(len(gate) - (k - 1) * (f + 1))[None]
+    x = np.zeros((len(gate),) + trials, dtype=np.int64)
+    for ch in range(d_in):
+        x[x_pos] = values[:, :, ch]
+        only = np.zeros_like(w)
+        only[:, ch] = w[:, ch]
+        got = _kernel_products(values, only, gate, f, x_pos, every, None)
+        for oc in range(d_out):
+            assert np.array_equal(got[0, :, oc],
+                                  _windows(x, gate, f, w[oc, ch]))
+
+    # the sums at the valid positions, and the same width check firing on
+    # the same pair with the same message
+    args = (values, w, gate, f, x_pos, win_pos, bits)
+    got, err = _outcome(_kernel_products, *args)
+    want, want_err = _outcome(_pair_loop, *args)
+    assert err == want_err
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(got, want)
+
+
+def test_product_dtype_at_the_exact_bound():
+    # float64 adds integers exactly below 2**53: the bound max|x| * max over
+    # (oc, ch) of sum |w[oc, ch]| picks float64 below it and int64 from it
+    one = np.array([1, -1])
+    assert _product_dtype(one, np.full((1, 1, 1, 1), 2**53 - 1)) is np.float64
+    assert _product_dtype(one, np.full((1, 1, 1, 1), 2**53)) is np.int64
+    x = np.array([[3, -2**26]])
+    w = np.array([[[[2**26, -(2**26 - 1)]]], [[[-1, 1]]]])
+    assert _product_dtype(x, w) is np.float64        # 2**26 * (2**27 - 1)
+    w[1, 0, 0] = [-2**25, 2**25]
+    assert _product_dtype(x, w) is np.float64        # 2**26 * 2**26
+    w[0, 0, 0, 1] = -2**26
+    assert _product_dtype(x, w) is np.int64          # 2**26 * 2**27
+    # weights whose |w| sums leave int64 are summed exactly as well
+    assert _product_dtype(np.zeros(1, dtype=np.int64),
+                          np.full((1, 1, 1, 1), -2**63)) is np.float64
+    assert _product_dtype(one, np.full((1, 1, 2, 2), 2**62)) is np.int64
+
+
+def test_conv_past_the_exact_bound_wraps_like_int64():
+    # values near +-2**60: the bound passes 2**53 and the products run in
+    # int64, wrapping mod 2**64 as the delay lines and ref_network do
+    spec = _spec([{"kind": "conv", "k": 3, "s": 1, "p": 1, "d_out": 3}],
+                 h=4, c=2)
+    plan = plan_network(spec)
+    plan.layers[0].acc_width = 64
+    weights = gen_network_weights(spec, 3)
+    rng = np.random.default_rng(4)
+    x = rng.integers(2**60 - 2**20, 2**60, size=(4, 4, 2)) \
+        * rng.choice([-1, 1], size=(4, 4, 2))
+    w, b = weights["L0"]["w"], weights["L0"]["b"]
+    assert _product_dtype(x, w) is np.int64
+    res = simulate_network(plan, weights, x)
+    ref = ref_network(spec, weights, x)
+    assert np.array_equal(res.outputs[0].reshape(ref.shape), ref)
+
+    x_pos, gate, win_pos = _conv_stream(4, 3, 1, 1, 1)
+    values = x.reshape(1, 16, 2)
+    assert np.array_equal(
+        _kernel_products(values, w, gate, 4, x_pos, win_pos, 64),
+        _pair_loop(values, w, gate, 4, x_pos, win_pos, 64))
+    # the centre window's exact sum leaves int64; all three paths wrap it
+    exact = int(b[0]) + sum(int(x[r, c, i]) * int(w[0, i, r, c])
+                            for r in range(3) for c in range(3)
+                            for i in range(2))
+    assert not -2**63 <= exact < 2**63
+    assert (exact + 2**63) % 2**64 - 2**63 == ref[1, 1, 0]
+
+
+def test_conv_layers_take_no_delay_line(monkeypatch, rex_spec):
+    # only the pools run `_windows`, once per channel
+    calls = []
+    real = engine._windows
+
+    def spy(x, gate, f, kernel):
+        calls.append(kernel)
+        return real(x, gate, f, kernel)
+
+    monkeypatch.setattr(engine, "_windows", spy)
+    _check(rex_spec)
+    assert len(calls) == 8 + 16 and all(c is None for c in calls)

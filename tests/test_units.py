@@ -10,7 +10,7 @@ import pytest
 
 from flowcnn.oracle import ref_conv2d
 from flowcnn.sim.trace import fcu_trace, kpu_trace
-from flowcnn.sim.units import KpuUnit, WidthOverflow
+from flowcnn.sim.units import KpuUnit, WidthOverflow, _check_width
 
 F, K = 5, 3
 UNPADDED_VALID = [0, 1, 2, 5, 6, 7, 10, 11, 12]
@@ -185,6 +185,15 @@ def test_width_overflow_detected():
     with pytest.raises(WidthOverflow):
         for n in range(25):
             unit.step(127, n % F)
+
+
+def test_width_check_sees_int64_min():
+    # np.abs(-2**63) stays negative, so a peak taken through np.abs misses it
+    with pytest.raises(WidthOverflow, match=r"^x: \|9223372036854775808\| "):
+        _check_width(np.array([-2**63, 5]), 8, "x")
+    with pytest.raises(WidthOverflow, match=r"^x: \|128\| "):
+        _check_width(np.array([-128, 5]), 8, "x")
+    _check_width(np.array([-127, 127]), 8, "x")
 
 
 def test_kpu_trailing_dims_match_scalar():
