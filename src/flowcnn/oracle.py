@@ -30,7 +30,7 @@ class OracleError(Exception):
     pass
 
 
-def _windows(x: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
+def _window_view(x: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
     """(rows, cols, k, k, channels) view of all stride-decimated windows."""
     if x.ndim != 3:
         raise OracleError(f"expected (h, w, c) tensor, got shape {x.shape}")
@@ -48,7 +48,7 @@ def ref_conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     d_out, d_in = w.shape[0], w.shape[1]
     if x.shape[2] != d_in:
         raise OracleError(f"input channels {x.shape[2]} != weights {d_in}")
-    win = _windows(x, w.shape[2], s, p).astype(np.int64, copy=False)
+    win = _window_view(x, w.shape[2], s, p).astype(np.int64, copy=False)
     out = np.tensordot(win, w.astype(np.int64, copy=False),
                        axes=([2, 3, 4], [2, 3, 1]))
     if bias is not None:
@@ -61,7 +61,7 @@ def ref_depthwise(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     """Per-channel convolution (groups == channels)."""
     if x.shape[2] != w.shape[0]:
         raise OracleError(f"input channels {x.shape[2]} != kernels {w.shape[0]}")
-    win = _windows(x, w.shape[1], s, p)
+    win = _window_view(x, w.shape[1], s, p)
     out = np.einsum("rcabi,iab->rci", win, w, dtype=np.int64)
     if bias is not None:
         out = out + np.asarray(bias, dtype=np.int64)
@@ -69,13 +69,14 @@ def ref_depthwise(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
 
 
 def ref_maxpool(x: np.ndarray, k: int, s: int) -> np.ndarray:
-    return _windows(x, k, s, 0).max(axis=(2, 3))
+    return _window_view(x, k, s, 0).max(axis=(2, 3))
 
 
 def ref_avgpool(x: np.ndarray, k: int, s: int) -> np.ndarray:
     """Window sum then floor division by k*k (arithmetic shift when k*k is a
     power of two)."""
-    return _windows(x, k, s, 0).sum(axis=(2, 3), dtype=np.int64) // (k * k)
+    win = _window_view(x, k, s, 0)
+    return win.sum(axis=(2, 3), dtype=np.int64) // (k * k)
 
 
 def ref_pointwise(x: np.ndarray, w: np.ndarray,

@@ -16,14 +16,16 @@ group (a stream position of `glen` slots, or an FCU batch of `h` slots).
 Output stamps, first cycles, busy counts, FIFO occupancy and signal events
 all follow from it in closed form.  The values follow from the delay-line
 formula in array form: a KPU or PPU window is a fixed sum or max of taps
-that streamed in a fixed number of positions earlier (`_windows`), and an
-FCU neuron is a running sum over its batches.  A standard conv's windows
-are, per input channel, a tap matrix times a kernel matrix
-(`_kernel_products`), in float64 when the exact bound max|x| * max sum|w|
-is below 2**53 and in int64 otherwise.  The cycle-stepped units in
-`units` are the reference model this formula is tested against.  Values may
-carry trailing trial dimensions; the whole simulation is then batched across
-trials with identical control flow.
+that streamed in a fixed number of positions earlier, and an FCU neuron is
+a running sum over its batches.  Every KPU and PPU layer -- standard conv,
+depthwise conv (lowered average pooling included) and max pooling -- runs
+through one window function (`_window_values`): per input channel a tap
+matrix, reduced by a kernel matrix (every output channel), by the
+channel's own kernel or by a max.  It runs in float64 when the exact bound
+max|x| * max sum|w| (max|x| for a max) is below 2**53 and in int64
+otherwise.  The cycle-stepped units in `units` are the reference model this
+formula is tested against.  Values may carry trailing trial dimensions; the
+whole simulation is then batched across trials with identical control flow.
 """
 
 from __future__ import annotations
@@ -37,11 +39,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ..alloc import ArchitecturePlan, FcuAllocation, LayerAllocation
 from ..netspec import LayerKind
-from ..oracle import wrap_to_width
+from ..oracle import weight_shape, wrap_to_width
 from ..rate import map_stream, pad_gates, valid_output_positions
 from .units import _check_width, _peak
 
-CHUNK_ELEMENTS = 1 << 18   # bound on a tap or product chunk of a standard conv
+CHUNK_ELEMENTS = 1 << 18   # bound on a tap or product chunk of a window
 EXACT_FLOAT = 1 << 53      # float64 adds integers below this exactly
 
 
@@ -129,106 +131,104 @@ def _chain(ready_at: np.ndarray, glen: int) -> np.ndarray:
     return lead + np.maximum.accumulate(ready_at - lead)
 
 
-def _windows(x: np.ndarray, gate: np.ndarray, f: int, kernel) -> np.ndarray:
-    """Window results of a k x k transposed-form delay line fed one value
-    per stream position.
-
-    x: (lat + n_pos, *TS) inputs, led by lat = (k-1)*(f+1) zeros because the
-    registers start at zero, and 0 at padding positions; gate: (lat + n_pos,
-    k) 0/1 column gates of the pixel at each position (pad_gates).  Tap (i,
-    m) of the window completing at position t reads the input D = (k-1-i)*f
-    + (k-1-m) positions earlier, x[lat + t - D] = x[t + i*f + m], with
-    column gate m.  A kernel (k, k, ...) sums kernel[i, m] * tap; None takes
-    the max of the taps (a PPU).  The window array has n_pos entries.
-    """
-    k = gate.shape[1]
-    n = len(x) - (k - 1) * (f + 1)
-    win = None
-    for m, g in enumerate(gate.T):
-        col = x if g.all() else x * g.reshape(g.shape + (1,) * (x.ndim - 1))
-        for i in range(k):
-            tap = col[i * f + m:i * f + m + n]
-            if kernel is None:
-                win = tap if win is None else np.maximum(win, tap)
-            elif win is None:
-                win = kernel[i, m] * tap
-            else:
-                win += kernel[i, m] * tap
-    return win
-
-
-def _product_dtype(values: np.ndarray, w: np.ndarray):
-    """The dtype a standard conv's tap x kernel products run in.
+def _product_dtype(values: np.ndarray, w):
+    """The dtype a layer's tap matrices and their reductions run in.
 
     max|values| * max over (oc, ch) of sum |w[oc, ch]| bounds every partial
-    sum of every window, in any order of addition.  Below 2**53 float64
-    (BLAS) adds those integers exactly; otherwise int64 wraps them mod 2**64
-    as the delay line does.  The bound is computed in Python ints.
+    sum of every window, in any order of addition; a max of taps (w None)
+    is bounded by max|values|.  Below 2**53 float64 (BLAS) holds those
+    integers exactly; otherwise int64 wraps them mod 2**64 as the delay line
+    does.  The bound is computed in Python ints.
     """
-    kk = w.shape[2] * w.shape[3]
-    if _peak(w) * kk < 1 << 63:              # |w| and its sums fit int64
+    if w is None:
+        w_sum = 1
+    elif _peak(w) * w.shape[2] * w.shape[3] < 1 << 63:   # |w| sums fit int64
         w_sum = int(np.abs(w).sum(axis=(2, 3)).max())
     else:
         w_sum = int(np.abs(w.astype(object)).sum(axis=(2, 3)).max())
     return np.float64 if _peak(values) * w_sum < EXACT_FLOAT else np.int64
 
 
-def _kernel_products(values: np.ndarray, w: np.ndarray, gate: np.ndarray,
-                     f: int, x_pos: np.ndarray, win_pos: np.ndarray,
-                     bits: int | None) -> np.ndarray:
-    """A standard conv's window sums at the valid output positions, summed
-    over input channels: (n_maps, n_out, d_out, *TS).
+def _window_values(values: np.ndarray, w, gate: np.ndarray, f: int,
+                   x_pos: np.ndarray, win_pos: np.ndarray,
+                   bits: int | None) -> np.ndarray:
+    """A KPU or PPU layer's window results at the valid output positions:
+    (n_maps, n_out, d_out, *TS).
 
-    The window of pair (ch, oc) completing at stream position t sums
-    w[oc, ch, i, m] times tap (i, m), the gated input x[t + i*f + m] that
-    `_windows` reads.  Per input channel that is one product of the
-    (positions, *TS, k*k) tap matrix with the (k*k, d_out) kernel matrix
-    (one per trial for stacked weights), built in chunks of positions so
-    that memory stays bounded.  Column oc of the product is the window
-    array of pair (ch, oc), invalid windows included; its peak passes the
-    width check in (ch, oc) order.
+    Tap (i, m) of the window completing at stream position t reads the
+    input x[t + i*f + m], times its column-m gate (pad_gates): the input D =
+    (k-1-i)*f + (k-1-m) positions earlier, on a stream led by (k-1)*(f+1)
+    zeros (the registers start at zero) with the pixels at x_pos and zeros
+    at padding positions.  Per input channel the taps form a (k*k,
+    positions, *TS) matrix, built in chunks of positions so that memory
+    stays bounded.  w is a grouped kernel (d_out, d_in / groups, k, k),
+    plus the values' trial axes when stacked.  A standard conv (one
+    group) multiplies the taps by the (d_out, k*k) kernel matrix into every
+    output channel; a depthwise conv ((d, 1, k, k): a group per channel) by
+    channel ch's own (1, k*k) kernel into output channel ch; a PPU (w None)
+    takes their max into output channel ch.  Row oc of a channel's result
+    is the window array of pair (ch, oc), invalid windows included; its
+    peak passes the width check in (ch, oc) order.
     """
-    d_out, d_in, k = w.shape[:3]
-    kk = k * k
+    d_in = values.shape[2]
     ts = values.shape[3:]
     n_trials = math.prod(ts)
-    sets = n_trials if w.ndim > 4 else 1      # kernel matrices per channel
-    if w.ndim > 4:
-        w = np.broadcast_to(w, w.shape[:4] + ts)
+    k = gate.shape[1]
+    kk = k * k
+    group_in, d_out = (1, d_in) if w is None else (w.shape[1], w.shape[0])
+    group_out = d_out * group_in // d_in      # output channels per group
+    where = "PPU window max" if w is None else "KPU window sum"
+    sets = n_trials if w is not None and w.ndim > 4 else 1
     dtype = _product_dtype(values, w)
+    if w is not None:
+        # kernels[j, set]: the (d_out, k*k) kernel matrix of input j of
+        # every group, one per set of n_trials // sets trials
+        kernels = w.reshape(d_out, group_in, kk, sets) \
+            .transpose(1, 3, 0, 2).astype(dtype)
     length = len(gate)
     n_pos = length - (k - 1) * (f + 1)
-    # gated[m, t]: the column-m gate of the input at t + m
-    gated = np.stack([gate[m:length - k + 1 + m, m] for m in range(k)]) \
+    # gated[m, t]: the column-m gate of the input at t + m; None unpadded
+    gated = None if gate.all() else np.stack(
+        [gate[m:length - k + 1 + m, m] for m in range(k)]) \
         .astype(dtype)[:, :, None]
     x = np.zeros((length, n_trials), dtype=dtype)
     rows = sliding_window_view(x, k, axis=0)      # rows[t, :, m] = x[t + m]
     wins = win_pos.ravel()
-    # one (d_out, k*k) kernel matrix per set of n_trials // sets trials
     acc = np.zeros((wins.size, d_out, sets, n_trials // sets), dtype=np.int64)
-    step = max(1, CHUNK_ELEMENTS // (n_trials * max(kk, d_out)))
+    step = max(1, CHUNK_ELEMENTS // (n_trials * max(kk, group_out)))
+    # chunk [a, b) of positions holds the valid windows wins[j0:j1]
+    edges = np.append(np.arange(0, n_pos, step), n_pos)
+    cuts = np.searchsorted(wins, edges)
+    chunks = list(zip(edges[:-1], edges[1:], cuts[:-1], cuts[1:]))
     for ch in range(d_in):
+        g = ch // group_in
+        outs = slice(g * group_out, (g + 1) * group_out)
         x[x_pos.ravel()] = values[:, :, ch].reshape(-1, n_trials)
-        kernels = w[:, ch].reshape(d_out, kk, sets).transpose(2, 0, 1) \
-            .astype(dtype)
         lows, highs = [], []
-        for a in range(0, n_pos, step):
-            c = min(step, n_pos - a)
+        for a, b, j0, j1 in chunks:
+            c = b - a
             taps = np.empty((k, k, c, n_trials), dtype=dtype)
             for i in range(k):
                 t = slice(a + i * f, a + i * f + c)
-                np.multiply(rows[t].transpose(2, 0, 1), gated[:, t],
-                            out=taps[i])
-            prod = kernels @ taps.reshape(kk, c, sets, -1) \
-                .transpose(2, 0, 1, 3).reshape(sets, kk, -1)
+                if gated is None:
+                    taps[i] = rows[t].transpose(2, 0, 1)
+                else:
+                    np.multiply(rows[t].transpose(2, 0, 1), gated[:, t],
+                                out=taps[i])
+            if w is None:
+                prod = taps.reshape(kk, 1, -1).max(axis=0)[None]
+            else:
+                prod = kernels[ch % group_in, :, outs] @ taps \
+                    .reshape(kk, c, sets, -1).transpose(2, 0, 1, 3) \
+                    .reshape(sets, kk, -1)
             lows.append(prod.min(axis=(0, 2)))
             highs.append(prod.max(axis=(0, 2)))
-            j0, j1 = np.searchsorted(wins, (a, a + c))
-            sel = prod.reshape(sets, d_out, c, -1)[:, :, wins[j0:j1] - a]
-            acc[j0:j1] += sel.astype(np.int64, copy=False).transpose(2, 1, 0, 3)
+            sel = prod.reshape(sets, group_out, c, -1)[:, :, wins[j0:j1] - a]
+            acc[j0:j1, outs] += \
+                sel.astype(np.int64, copy=False).transpose(2, 1, 0, 3)
         extremes = np.stack((np.min(lows, axis=0), np.max(highs, axis=0)))
-        for oc in range(d_out):
-            _check_width(extremes[:, oc], bits, "KPU window sum")
+        for oc in range(group_out):
+            _check_width(extremes[:, oc], bits, where)
     return acc.reshape(win_pos.shape + (d_out,) + ts)
 
 
@@ -264,7 +264,6 @@ def _run_conv_like(entry: LayerAllocation, feed: LayerSim, w, bias,
     map_base = np.arange(n_maps)[:, None] * period
     pix_pos = prefix + map_base + np.arange(f * f)
     win_pos = lat_pos + map_base + valid_output_positions(f, k, s, p)
-    n_out = win_pos.shape[1]
 
     readies = np.full(n_pos, -1, dtype=np.int64)
     readies[pix_pos] = feed.arrivals.max(axis=2)
@@ -280,18 +279,10 @@ def _run_conv_like(entry: LayerAllocation, feed: LayerSim, w, bias,
     # are independent lanes, so the slot a pair occupies does not matter.
     gate = np.ones((lat_pos + n_pos, k), dtype=np.int64)
     gate[lat_pos + pix_pos] = np.tile(pad_gates(f, k, p), (f, 1))
-    if standard:
-        out_vals = _kernel_products(feed.values, w, gate, f, lat_pos + pix_pos,
-                                    win_pos, entry.acc_width)
-    else:
-        where = "PPU window max" if is_pool else "KPU window sum"
-        out_vals = np.zeros((n_maps, n_out, d_out) + ts, dtype=np.int64)
-        x = np.zeros((lat_pos + n_pos,) + ts, dtype=np.int64)
-        for ch in range(d_in):
-            x[lat_pos + pix_pos] = feed.values[:, :, ch]
-            win = _windows(x, gate, f, None if is_pool else w[ch])
-            _check_width(win, entry.acc_width, where)
-            out_vals[:, :, ch] = win[win_pos]
+    # a depthwise kernel is a grouped one with one input channel per group
+    kernels = w[:, None] if ly.kind == LayerKind.DW_CONV else w
+    out_vals = _window_values(feed.values, kernels, gate, f,
+                              lat_pos + pix_pos, win_pos, entry.acc_width)
 
     if ly.post_divisor > 1:
         out_vals //= ly.post_divisor
@@ -385,6 +376,8 @@ def simulate_network(plan: ArchitecturePlan, weights: dict,
     spec = plan.spec
     if isinstance(x_maps, np.ndarray):
         x_maps = [x_maps]
+    if not x_maps:
+        raise SimConfigError("no input maps")
     h, w_, c = spec.input_shape
     ts = tuple(x_maps[0].shape[3:])
     for xm in x_maps:
@@ -415,10 +408,15 @@ def simulate_network(plan: ArchitecturePlan, weights: dict,
                                  f"pixels, expected {ly.f * ly.f}")
         if ly.has_weights and w is None:
             raise SimConfigError(f"{name}: no weights provided")
-        if w is not None:
-            w = np.asarray(w, dtype=np.int64)
-        if bias is not None:
-            bias = np.asarray(bias, dtype=np.int64)
+        w, bias = (None if v is None else np.asarray(v, dtype=np.int64)
+                   for v in (w, bias))
+        for what, value, shape in (("weights", w, weight_shape(ly)),
+                                   ("bias", bias, (ly.d_out,))):
+            if value is not None and shape is not None \
+                    and value.shape not in (shape, shape + ts):
+                raise SimConfigError(
+                    f"{name}: {what} of shape {value.shape}, expected "
+                    f"{shape}" + (f" or {shape + ts}" if ts else ""))
         if isinstance(entry.unit, FcuAllocation):
             sim = _run_fcu_layer(entry, name, feed, w, bias, ts)
         else:

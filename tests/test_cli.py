@@ -176,6 +176,28 @@ def test_analyze_scaled_model_row_count(capsys, mbv1_file):
     assert any(l.startswith("!") and "stalls" in l for l in out.splitlines())
 
 
+def _weights_file(tmp_path, layer, cut):
+    """Running-example weights with one layer's kernels cut to a wrong
+    shape, as a weights file."""
+    weights = gen_network_weights(running_example(), 0)
+    weights[layer]["w"] = cut(weights[layer]["w"])
+    path = tmp_path / "weights.json"
+    path.write_text(weights_to_json(weights))
+    return str(path)
+
+
+@pytest.fixture()
+def c1_kernels_3x3(tmp_path):
+    # the 5x5 layer C1 given 3x3 kernels
+    return _weights_file(tmp_path, "C1", lambda w: w[:, :, :3, :3])
+
+
+@pytest.fixture()
+def c2_kernels_4_out(tmp_path):
+    # C2 given 4 output channels' kernels instead of 16
+    return _weights_file(tmp_path, "C2", lambda w: w[:4])
+
+
 def _bad(*argv, doc="rex_file"):
     return pytest.param(doc, list(argv), id=" ".join(argv))
 
@@ -192,9 +214,14 @@ def _bad(*argv, doc="rex_file"):
     _bad("sweep", "--layer", "avgpool", "--rates", "1", doc="mbv1_file"),
     _bad("simulate", "--maps", "0"),
     _bad("compare", "--trials", "0"),
+    # "@name" stands for the file the fixture `name` writes
+    _bad("simulate", "--weights", "@c1_kernels_3x3"),
+    _bad("simulate", "--weights", "@c2_kernels_4_out"),
 ])
 def test_bad_input_exits_2(capsys, request, doc, argv):
     path = request.getfixturevalue(doc)
-    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    args = [request.getfixturevalue(a[1:]) if a.startswith("@") else a
+            for a in argv[1:]]
+    code, out, err = run(capsys, argv[0], path, *args)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -12,8 +12,8 @@ from flowcnn.oracle import gen_network_weights, gen_random, ref_network
 from flowcnn.rate import (Flow, map_stream, pad_gates, propagate_rates,
                           valid_output_positions)
 from flowcnn.sim import engine
-from flowcnn.sim.engine import (SimConfigError, _chain, _kernel_products,
-                                _paced, _product_dtype, _windows,
+from flowcnn.sim.engine import (SimConfigError, _chain, _paced,
+                                _product_dtype, _window_values,
                                 simulate_network)
 from flowcnn.sim.units import KpuUnit, WidthOverflow, _check_width
 
@@ -389,15 +389,19 @@ def _overflow_case(layers, h, c, x, w, width):
     return simulate_network(plan, weights, x.reshape(h, h, c))
 
 
-def test_width_overflow_kpu_checks_invalid_windows():
+@pytest.mark.parametrize("layer, w", [
+    ({"kind": "conv", "k": 3, "s": 1, "p": 0, "d_out": 1},
+     np.full((1, 1, 3, 3), 127, dtype=np.int64)),
+    ({"kind": "dw_conv", "k": 3, "s": 1, "p": 0},
+     np.full((1, 3, 3), 127, dtype=np.int64)),
+], ids=["conv", "dw_conv"])
+def test_width_overflow_kpu_checks_invalid_windows(layer, w):
     # valid windows reach 3*127*127 = 48,387; windows straddling two rows
     # read three +127 taps per row and reach 145,161, which needs 19 bits
-    layers = [{"kind": "conv", "k": 3, "s": 1, "p": 0, "d_out": 1}]
     x = np.tile([127, -127, -127, 127, 127], 5)
-    w = np.full((1, 1, 3, 3), 127, dtype=np.int64)
     with pytest.raises(WidthOverflow, match="^KPU window sum"):
-        _overflow_case(layers, 5, 1, x, w, 18)
-    res = _overflow_case(layers, 5, 1, x, w, 19)
+        _overflow_case([layer], 5, 1, x, w, 18)
+    res = _overflow_case([layer], 5, 1, x, w, 19)
     assert np.abs(res.outputs[0]).max() == 48387
 
 
@@ -420,44 +424,6 @@ def test_width_overflow_fcu_checks_running_sums():
     assert res.outputs[0].ravel().tolist() == [0]
 
 
-@settings(max_examples=60, deadline=None)
-@given(k=st.sampled_from([1, 2, 3, 5]), extra=st.integers(0, 4),
-       padded=st.booleans(), n_maps=st.integers(1, 3),
-       trials=st.sampled_from([(), (2,)]), seed=st.integers(0, 2**16))
-def test_stepped_units_match_window_formula(k, extra, padded, n_maps, trials,
-                                            seed):
-    # every stream position is compared, invalid windows and map seams
-    # included, so the engine's formula is the stepped units' behaviour
-    f = k + extra
-    p = (k - 1) // 2 if padded else 0
-    rng = np.random.default_rng(seed)
-    prefix, period = map_stream(f, p)
-    # (map, pixel) streaming in at each position, None for a padding zero
-    pixels = [None] * prefix + [
-        divmod(x, period) if x % period < f * f else None
-        for x in range(n_maps * period)]
-    maps = rng.integers(-128, 128, size=(n_maps, f * f) + trials)
-    # the engine's stream is led by one zero per delay-line register stage
-    lat = (k - 1) * (f + 1)
-    x = np.zeros((lat + len(pixels),) + trials, dtype=np.int64)
-    gate = np.ones((lat + len(pixels), k), dtype=np.int64)
-    for t, px in enumerate(pixels):
-        if px is not None:
-            x[lat + t] = maps[px]
-            gate[lat + t] = pad_gates(f, k, p)[px[1] % f]
-    kernel = rng.integers(-128, 128, size=(k, k))
-    win = _windows(x, gate, f, kernel)
-    peak = _windows(x, np.ones_like(gate), f, None)
-
-    kpu = KpuUnit(k, f, 1, kernel.reshape((1, k, k) + (1,) * len(trials)), p)
-    ppu = KpuUnit(k, f, 1, None)
-    for t, px in enumerate(pixels):
-        col = None if px is None else px[1] % f
-        assert np.array_equal(kpu.step(x[lat + t], col)[(k - 1, k - 1)],
-                              win[t])
-        assert np.array_equal(ppu.step(x[lat + t])[(k - 1, k - 1)], peak[t])
-
-
 @pytest.mark.parametrize("tail", [[], [{"kind": "fc", "d_out": 2}]])
 def test_shared_pointwise_plan_rejected(tail):
     # FCUs time-multiplexing several output channels are priced by the
@@ -477,9 +443,29 @@ def test_input_maps_of_different_trial_shapes_rejected():
     weights = gen_network_weights(spec, 0)
     x = gen_random((4, 4, 1), 1, 8)
     trials = np.stack([x] * 3, axis=-1)
-    for maps in ([x, trials], [trials, x]):
-        with pytest.raises(SimConfigError, match="trial axes"):
+    for maps, match in (([x, trials], "trial axes"),
+                        ([trials, x], "trial axes"),
+                        ([], "^no input maps$")):
+        with pytest.raises(SimConfigError, match=match):
             simulate_network(plan, weights, maps)
+
+
+@pytest.mark.parametrize("layer, field, shape, message", [
+    ("C1", "w", (8, 1, 3, 3), "C1: weights of shape (8, 1, 3, 3), expected "
+                              "(8, 1, 5, 5) or (8, 1, 5, 5, 2)"),
+    ("C2", "w", (4, 8, 5, 5), "C2: weights of shape (4, 8, 5, 5), expected "
+                              "(16, 8, 5, 5) or (16, 8, 5, 5, 2)"),
+    ("F1", "b", (10, 3), "F1: bias of shape (10, 3), expected (10,) or "
+                         "(10, 2)"),
+])
+def test_weights_of_the_wrong_shape_rejected(rex_spec, layer, field, shape,
+                                             message):
+    weights = gen_network_weights(rex_spec, 0)
+    weights[layer][field] = np.zeros(shape, dtype=np.int64)
+    x = np.stack([gen_random((24, 24, 1), t, 8) for t in range(2)], axis=-1)
+    with pytest.raises(SimConfigError) as exc:
+        simulate_network(plan_network(rex_spec), weights, x)
+    assert str(exc.value) == message
 
 
 def _conv_stream(f, k, s, p, n_maps):
@@ -495,19 +481,46 @@ def _conv_stream(f, k, s, p, n_maps):
     return x_pos, gate, lat + map_base + valid_output_positions(f, k, s, p)
 
 
-def _pair_loop(values, w, gate, f, x_pos, win_pos, bits):
-    """One delay line per (input, output) channel pair, each width-checked
-    in (ch, oc) order and summed at the valid positions."""
+def _stepped_windows(kind, values, w, gate, f, p, x_pos):
+    """Every (ch, oc) pair's window at every stream position from stepped
+    units: (n_pos, d_in, oc per channel, *TS).  One KpuUnit per input
+    channel carries the channel's output channels and the trials on its
+    trailing axes; a pool's unit is a KpuUnit without weights."""
+    k = gate.shape[1]
+    lat = (k - 1) * (f + 1)
     ts = values.shape[3:]
-    out = np.zeros(win_pos.shape + (w.shape[0],) + ts, dtype=np.int64)
-    x = np.zeros((len(gate),) + ts, dtype=np.int64)
-    for ch in range(w.shape[1]):
-        x[x_pos] = values[:, :, ch]
-        for oc in range(w.shape[0]):
-            win = _windows(x, gate, f, w[oc, ch])
-            _check_width(win, bits, "KPU window sum")
-            out[:, :, oc] += win[win_pos]
-    return out
+    # the input and the map column (-1: a zero) streaming in at each position
+    xs = np.zeros((len(gate) - lat,) + values.shape[2:], dtype=np.int64)
+    xs[x_pos - lat] = values
+    cols = np.full(len(xs), -1)
+    cols[x_pos - lat] = np.arange(f * f) % f
+    wins = []
+    for ch in range(values.shape[2]):
+        if kind == "maxpool":
+            unit = KpuUnit(k, f, 1, None)
+        else:
+            kern = w[:, ch] if kind == "conv" else w[ch][None]
+            kern = np.moveaxis(kern, 0, 2)                  # (k, k, oc, ...)
+            if kern.ndim == 3:                              # shared weights
+                kern = kern.reshape(kern.shape + (1,) * len(ts))
+            unit = KpuUnit(k, f, 1, kern[None], p)
+        steps = [unit.step(xs[t, ch], None if col < 0 else col)
+                 for t, col in enumerate(cols)]
+        wins.append([np.reshape(taps[(k - 1, k - 1)], (-1,) + ts)
+                     for taps in steps])
+    return np.array(wins, dtype=np.int64).swapaxes(0, 1)
+
+
+def _pair_checked(kind, wins, win_pos, bits):
+    """The stepped windows width-checked pair by pair in (ch, oc) order, then
+    summed over input channels (conv) or kept per channel at the valid
+    positions."""
+    where = "PPU window max" if kind == "maxpool" else "KPU window sum"
+    for ch in range(wins.shape[1]):
+        for oc in range(wins.shape[2]):
+            _check_width(wins[:, ch, oc], bits, where)
+    valid = wins[win_pos]
+    return valid.sum(axis=2) if kind == "conv" else valid[:, :, :, 0]
 
 
 def _outcome(fn, *args):
@@ -518,52 +531,57 @@ def _outcome(fn, *args):
 
 
 @settings(max_examples=80, deadline=None)
-@given(k=st.sampled_from([1, 2, 3, 5]), extra=st.integers(0, 3),
+@given(kind=st.sampled_from(["conv", "dw_conv", "maxpool"]),
+       k=st.sampled_from([1, 2, 3, 5]), extra=st.integers(0, 3),
        padded=st.booleans(), s=st.integers(1, 3), d_in=st.integers(1, 3),
        d_out=st.integers(1, 4), n_maps=st.integers(1, 3),
        trials=st.sampled_from([(), (2,), (2, 3)]), stacked=st.booleans(),
-       bits=st.integers(12, 24), chunk=st.sampled_from([1, 100, 1 << 18]),
+       bits=st.integers(6, 24), chunk=st.sampled_from([1, 100, 1 << 18]),
        seed=st.integers(0, 2**16))
-def test_kernel_products_match_delay_lines(k, extra, padded, s, d_in, d_out,
-                                           n_maps, trials, stacked, bits,
-                                           chunk, seed):
+def test_stepped_units_match_window_formula(kind, k, extra, padded, s, d_in,
+                                            d_out, n_maps, trials, stacked,
+                                            bits, chunk, seed):
     # small chunks split the stream into many chunks of positions
     real_chunk = engine.CHUNK_ELEMENTS
     engine.CHUNK_ELEMENTS = chunk
     try:
-        _check_kernel_products(k, k + extra, (k - 1) // 2 if padded else 0,
-                               s, d_in, d_out, n_maps, trials, stacked, bits,
-                               seed)
+        p = (k - 1) // 2 if padded and kind != "maxpool" else 0
+        _check_window_values(kind, k, k + extra, p, s, d_in, d_out, n_maps,
+                             trials, stacked, bits, seed)
     finally:
         engine.CHUNK_ELEMENTS = real_chunk
 
 
-def _check_kernel_products(k, f, p, s, d_in, d_out, n_maps, trials, stacked,
-                           bits, seed):
+def _check_window_values(kind, k, f, p, s, d_in, d_out, n_maps, trials,
+                         stacked, bits, seed):
     rng = np.random.default_rng(seed)
     x_pos, gate, win_pos = _conv_stream(f, k, s, p, n_maps)
     values = rng.integers(-128, 128, size=(n_maps, f * f, d_in) + trials)
-    w = rng.integers(-128, 128, size=(d_out, d_in, k, k)
-                     + (trials if stacked else ()))
+    shape = {"conv": (d_out, d_in, k, k), "dw_conv": (d_in, k, k)}.get(kind)
+    w = None if shape is None else \
+        rng.integers(-128, 128, size=shape + (trials if stacked else ()))
+    grouped = w[:, None] if kind == "dw_conv" else w    # the engine's layout
+    wins = _stepped_windows(kind, values, w, gate, f, p, x_pos)
 
-    # every pair's window array, at every stream position: the product
-    # with one input channel's kernels left in is that channel's pairs
-    every = np.arange(len(gate) - (k - 1) * (f + 1))[None]
-    x = np.zeros((len(gate),) + trials, dtype=np.int64)
-    for ch in range(d_in):
-        x[x_pos] = values[:, :, ch]
-        only = np.zeros_like(w)
-        only[:, ch] = w[:, ch]
-        got = _kernel_products(values, only, gate, f, x_pos, every, None)
-        for oc in range(d_out):
-            assert np.array_equal(got[0, :, oc],
-                                  _windows(x, gate, f, w[oc, ch]))
+    # every pair's window array, at every stream position, invalid windows
+    # and map seams included: a conv with one input channel's kernels left
+    # in yields that channel's pairs
+    every = np.arange(len(wins))[None]
+    if kind == "conv":
+        for ch in range(d_in):
+            only = np.zeros_like(w)
+            only[:, ch] = w[:, ch]
+            got = _window_values(values, only, gate, f, x_pos, every, None)
+            assert np.array_equal(got[0], wins[:, ch])
+    else:
+        got = _window_values(values, grouped, gate, f, x_pos, every, None)
+        assert np.array_equal(got[0], wins[:, :, 0])
 
-    # the sums at the valid positions, and the same width check firing on
-    # the same pair with the same message
-    args = (values, w, gate, f, x_pos, win_pos, bits)
-    got, err = _outcome(_kernel_products, *args)
-    want, want_err = _outcome(_pair_loop, *args)
+    # the results at the valid positions, and the same width check firing
+    # on the same pair with the same message
+    got, err = _outcome(_window_values, values, grouped, gate, f, x_pos,
+                        win_pos, bits)
+    want, want_err = _outcome(_pair_checked, kind, wins, win_pos, bits)
     assert err == want_err
     assert (got is None) == (want is None)
     if want is not None:
@@ -587,47 +605,44 @@ def test_product_dtype_at_the_exact_bound():
     assert _product_dtype(np.zeros(1, dtype=np.int64),
                           np.full((1, 1, 1, 1), -2**63)) is np.float64
     assert _product_dtype(one, np.full((1, 1, 2, 2), 2**62)) is np.int64
+    # a max of taps (no kernel) is bounded by max|x| alone
+    assert _product_dtype(np.array([3, -(2**53 - 1)]), None) is np.float64
+    assert _product_dtype(np.array([2**53, -3]), None) is np.int64
 
 
-def test_conv_past_the_exact_bound_wraps_like_int64():
-    # values near +-2**60: the bound passes 2**53 and the products run in
+@pytest.mark.parametrize("layer", [
+    {"kind": "conv", "k": 3, "s": 1, "p": 1, "d_out": 3},
+    {"kind": "dw_conv", "k": 3, "s": 1, "p": 1},
+    {"kind": "maxpool", "k": 2, "s": 2},
+], ids=lambda layer: layer["kind"])
+def test_conv_past_the_exact_bound_wraps_like_int64(layer):
+    # values near +-2**60: the bound passes 2**53 and the windows run in
     # int64, wrapping mod 2**64 as the delay lines and ref_network do
-    spec = _spec([{"kind": "conv", "k": 3, "s": 1, "p": 1, "d_out": 3}],
-                 h=4, c=2)
+    spec = _spec([layer], h=4, c=2)
     plan = plan_network(spec)
     plan.layers[0].acc_width = 64
     weights = gen_network_weights(spec, 3)
     rng = np.random.default_rng(4)
     x = rng.integers(2**60 - 2**20, 2**60, size=(4, 4, 2)) \
         * rng.choice([-1, 1], size=(4, 4, 2))
-    w, b = weights["L0"]["w"], weights["L0"]["b"]
-    assert _product_dtype(x, w) is np.int64
+    kind, ly = layer["kind"], spec.layers[0]
+    w = weights.get("L0", {}).get("w")
+    grouped = w[:, None] if kind == "dw_conv" else w
+    assert _product_dtype(x, grouped) is np.int64
     res = simulate_network(plan, weights, x)
     ref = ref_network(spec, weights, x)
     assert np.array_equal(res.outputs[0].reshape(ref.shape), ref)
 
-    x_pos, gate, win_pos = _conv_stream(4, 3, 1, 1, 1)
+    x_pos, gate, win_pos = _conv_stream(4, ly.k, ly.s, ly.p, 1)
     values = x.reshape(1, 16, 2)
+    wins = _stepped_windows(kind, values, w, gate, 4, ly.p, x_pos)
     assert np.array_equal(
-        _kernel_products(values, w, gate, 4, x_pos, win_pos, 64),
-        _pair_loop(values, w, gate, 4, x_pos, win_pos, 64))
-    # the centre window's exact sum leaves int64; all three paths wrap it
-    exact = int(b[0]) + sum(int(x[r, c, i]) * int(w[0, i, r, c])
-                            for r in range(3) for c in range(3)
-                            for i in range(2))
-    assert not -2**63 <= exact < 2**63
-    assert (exact + 2**63) % 2**64 - 2**63 == ref[1, 1, 0]
-
-
-def test_conv_layers_take_no_delay_line(monkeypatch, rex_spec):
-    # only the pools run `_windows`, once per channel
-    calls = []
-    real = engine._windows
-
-    def spy(x, gate, f, kernel):
-        calls.append(kernel)
-        return real(x, gate, f, kernel)
-
-    monkeypatch.setattr(engine, "_windows", spy)
-    _check(rex_spec)
-    assert len(calls) == 8 + 16 and all(c is None for c in calls)
+        _window_values(values, grouped, gate, 4, x_pos, win_pos, 64),
+        _pair_checked(kind, wins, win_pos, 64))
+    if kind == "conv":
+        # the centre window's exact sum leaves int64; all three paths wrap it
+        exact = int(weights["L0"]["b"][0]) + sum(
+            int(x[r, c, i]) * int(w[0, i, r, c])
+            for r in range(3) for c in range(3) for i in range(2))
+        assert not -2**63 <= exact < 2**63
+        assert (exact + 2**63) % 2**64 - 2**63 == ref[1, 1, 0]
