@@ -40,10 +40,8 @@ class ConvAllocation:
     n_kpu: int
     c: int                 # weight configurations cycled per KPU
     i: int                 # output channels interleaved onto one stream
-    n_streams_out: int
     accumulators: int      # cross-channel accumulation units (0 for dw)
     continuity_break: bool = False
-    extra_hold_regs: int = 0
 
 
 @dataclass(frozen=True)
@@ -130,21 +128,17 @@ def alloc_conv(d_in: int, d_out: int, r_in: Rate) -> ConvAllocation:
         n_kpu=n_kpu,
         c=c,
         i=i,
-        n_streams_out=-(-d_out // i),
         accumulators=0 if (d_in == 1 and r_in == 1) else -(-d_out // i),
         continuity_break=broken,
-        extra_hold_regs=d_out if broken else 0,
     )
 
 
 def alloc_depthwise(d_in: int, r_in: Rate) -> ConvAllocation:
     """Allocate KPUs for a depthwise convolution (one kernel per channel)."""
-    n_kpu = math.ceil(r_in)
     return ConvAllocation(
-        n_kpu=n_kpu,
+        n_kpu=math.ceil(r_in),
         c=config_count(LayerKind.DW_CONV, d_in, d_in, r_in),
         i=1,
-        n_streams_out=n_kpu,
         accumulators=0,
     )
 
@@ -201,18 +195,6 @@ def alloc_pool(d_in: int, r_in: Rate) -> PoolAllocation:
                           c=config_count(LayerKind.MAXPOOL, d_in, d_in, r_in))
 
 
-def accumulated_terms(layer: LayerSpec) -> int:
-    """Number of products summed into one output value of a weighted layer
-    (conv, depthwise, pointwise or fully connected)."""
-    if layer.kind == LayerKind.CONV:
-        return layer.k * layer.k * layer.d_in
-    if layer.kind == LayerKind.DW_CONV:
-        return layer.k * layer.k
-    if layer.kind == LayerKind.PW_CONV:
-        return layer.d_in
-    return layer.feature_count
-
-
 def worst_case_widths(plan: ArchitecturePlan, quant: QuantFormat) -> list[int]:
     """Annotate every layer with its worst-case accumulator width.
 
@@ -229,7 +211,7 @@ def worst_case_widths(plan: ArchitecturePlan, quant: QuantFormat) -> list[int]:
         elif ly.kind == LayerKind.RESIDUAL_ADD:
             acc = out = in_bits + 1
         else:
-            terms = accumulated_terms(ly)
+            terms = math.prod(ly.weight_shape[1:])
             acc = in_bits + quant.weight_bits + max(0, math.ceil(math.log2(terms)))
             if ly.constant_weights:
                 # unit weights then floor division: the quotient fits the

@@ -185,7 +185,9 @@ def layer_cost(entry: LayerAllocation, scope: CostScope,
                 vec = vec + bias_cost(ly.d_out, -(-ly.d_out // unit.n_kpu))
             else:
                 vec = vec + bias_cost(ly.d_out, unit.i)
-        vec = vec + ResourceVector(registers=unit.extra_hold_regs)
+        # output-hold registers where the unit count was rounded up
+        vec = vec + ResourceVector(
+            registers=ly.d_out if unit.continuity_break else 0)
     elif isinstance(unit, FcuAllocation):
         vec = vec + fcu_cost(unit.j, unit.h, unit.c, unit.n_fcu)
         # FC/pointwise bias loads the accumulator start value; no adder

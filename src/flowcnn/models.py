@@ -50,7 +50,7 @@ def mobilenet_v1(alpha: float = 1.0, classes: int = 1000) -> NetworkSpec:
 
 
 def random_network(seed: int, max_layers: int = 6, max_f: int = 16,
-                   max_d: int = 16, width_budget: int = 62) -> NetworkSpec:
+                   max_d: int = 16) -> NetworkSpec:
     """A small random valid network with non-stalling rates.
 
     Channel counts are powers of two and the input streams one full pixel
@@ -77,7 +77,7 @@ def random_network(seed: int, max_layers: int = 6, max_f: int = 16,
             continue
         if plan.warnings:
             continue
-        if max(e.acc_width for e in plan.layers) > width_budget:
+        if max(e.acc_width for e in plan.layers) > 62:
             continue
         return spec
 

@@ -115,26 +115,37 @@ class LayerSpec:
         return self.f * self.f * self.d_in
 
     @property
+    def weight_shape(self) -> tuple[int, ...] | None:
+        """The layer's kernel layout, None for a layer without one (max
+        pooling, residual merges):
+
+          conv        (d_out, d_in, k, k)        depthwise  (d, k, k)
+          pointwise   (d_out, d_in)              fc         (d_out, f*f*d_in)
+
+        A lowered average pool is a depthwise conv with a constant unit
+        kernel.  Every axis after the first is summed into one output value.
+        Biases are one int per output channel, for layers with has_bias.
+        """
+        if self.kind == LayerKind.CONV:
+            return (self.d_out, self.d_in, self.k, self.k)
+        if self.kind == LayerKind.DW_CONV:
+            return (self.d_in, self.k, self.k)
+        if self.kind == LayerKind.PW_CONV:
+            return (self.d_out, self.d_in)
+        if self.kind == LayerKind.FC:
+            return (self.d_out, self.feature_count)
+        return None
+
+    @property
     def weight_count(self) -> int:
         """Trained parameters, excluding biases and constant kernels."""
-        if self.constant_weights or self.kind in (
-            LayerKind.MAXPOOL,
-            LayerKind.RESIDUAL_ADD,
-        ):
-            return 0
-        if self.kind == LayerKind.CONV:
-            return self.k * self.k * self.d_in * self.d_out
-        if self.kind == LayerKind.DW_CONV:
-            return self.k * self.k * self.d_in
-        if self.kind == LayerKind.PW_CONV:
-            return self.d_in * self.d_out
-        if self.kind == LayerKind.FC:
-            return self.feature_count * self.d_out
-        raise ValueError(f"unlowered kind {self.kind}")
+        from math import prod
+        shape = self.weight_shape
+        return 0 if shape is None or self.constant_weights else prod(shape)
 
     @property
     def has_weights(self) -> bool:
-        return self.kind not in (LayerKind.MAXPOOL, LayerKind.RESIDUAL_ADD)
+        return self.weight_shape is not None
 
     @property
     def has_bias(self) -> bool:
@@ -176,10 +187,6 @@ def parse_rate(text: str | int) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rate {text!r}: {exc}") from None
-
-
-def format_rate(rate: Fraction) -> str:
-    return str(rate.numerator) if rate.denominator == 1 else f"{rate.numerator}/{rate.denominator}"
 
 
 def _require(obj: dict, key: str, path: str, types) -> object:
@@ -402,7 +409,7 @@ def serialize_network(spec: NetworkSpec) -> dict:
     h, w, c = spec.input_shape
     return {
         "input": {"height": h, "width": w, "channels": c,
-                  "rate": format_rate(spec.input_rate)},
+                  "rate": str(spec.input_rate)},
         "quant": {"weight_bits": spec.quant.weight_bits,
                   "activation_bits": spec.quant.activation_bits},
         "layers": layers,

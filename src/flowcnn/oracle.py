@@ -4,12 +4,8 @@ Tensors are numpy int64 arrays in (height, width, channels) layout; pixel n
 of a square map sits at (n // f, n % f).  All arithmetic is exact integer
 arithmetic.  Average pooling divides the window sum by k*k with floor
 semantics, the same rule the lowered constant-weight depthwise stage applies,
-so both routes stay bit-identical.
-
-Weight layouts:
-  conv        (d_out, d_in, k, k)        depthwise  (d, k, k)
-  pointwise   (d_out, d_in)              fc         (d_out, f*f*d_in)
-Biases are one int per output channel.
+so both routes stay bit-identical.  Each layer's weights follow
+`LayerSpec.weight_shape`.
 """
 
 from __future__ import annotations
@@ -153,20 +149,7 @@ def gen_random(shape: tuple[int, ...], seed: int, width: int) -> np.ndarray:
     return rng.integers(-half, half, size=shape, dtype=np.int64)
 
 
-def weight_shape(layer: LayerSpec) -> tuple[int, ...] | None:
-    if layer.kind == LayerKind.CONV:
-        return (layer.d_out, layer.d_in, layer.k, layer.k)
-    if layer.kind == LayerKind.DW_CONV:
-        return (layer.d_in, layer.k, layer.k)
-    if layer.kind == LayerKind.PW_CONV:
-        return (layer.d_out, layer.d_in)
-    if layer.kind == LayerKind.FC:
-        return (layer.d_out, layer.feature_count)
-    return None
-
-
-def gen_network_weights(spec: NetworkSpec, seed: int,
-                        with_bias: bool = True) -> dict:
+def gen_network_weights(spec: NetworkSpec, seed: int) -> dict:
     """Seeded weights and biases for every layer that has them; constant
     kernels (lowered average pooling) get unit weights."""
     rng = np.random.default_rng(seed)
@@ -174,7 +157,7 @@ def gen_network_weights(spec: NetworkSpec, seed: int,
     half = 1 << (wbits - 1)
     out: dict = {}
     for idx, layer in enumerate(spec.layers):
-        shape = weight_shape(layer)
+        shape = layer.weight_shape
         if shape is None:
             continue
         name = spec.layer_name(idx)
@@ -182,8 +165,7 @@ def gen_network_weights(spec: NetworkSpec, seed: int,
             out[name] = {"w": np.ones(shape, dtype=np.int64), "b": None}
             continue
         w = rng.integers(-half, half, size=shape, dtype=np.int64)
-        b = rng.integers(-half, half, size=(layer.d_out,), dtype=np.int64) \
-            if with_bias else np.zeros(layer.d_out, dtype=np.int64)
+        b = rng.integers(-half, half, size=(layer.d_out,), dtype=np.int64)
         out[name] = {"w": w, "b": b}
     return out
 
@@ -209,11 +191,16 @@ def weights_from_json(text: str) -> dict:
     for name, entry in doc.items():
         if not isinstance(entry, dict) or "w" not in entry:
             raise OracleError(f"corrupt weights file: layer {name!r}")
-        out[name] = {
-            "w": np.asarray(entry["w"], dtype=np.int64),
-            "b": None if entry.get("b") is None
-                 else np.asarray(entry["b"], dtype=np.int64),
-        }
+        try:
+            out[name] = {
+                "w": np.asarray(entry["w"], dtype=np.int64),
+                "b": None if entry.get("b") is None
+                     else np.asarray(entry["b"], dtype=np.int64),
+            }
+        except (TypeError, ValueError, OverflowError):
+            # ragged or non-numeric arrays, or values beyond int64
+            raise OracleError(f"corrupt weights file: layer {name!r}") \
+                from None
     return out
 
 

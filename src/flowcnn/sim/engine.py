@@ -39,7 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ..alloc import ArchitecturePlan, FcuAllocation, LayerAllocation
 from ..netspec import LayerKind
-from ..oracle import weight_shape, wrap_to_width
+from ..oracle import wrap_to_width
 from ..rate import map_stream, pad_gates, valid_output_positions
 from .units import _check_width, _peak
 
@@ -77,13 +77,6 @@ class SimResult:
     stats: SimStats
     layers: list[LayerSim]
     events: list[tuple] | None = None   # (cycle, signal, value, valid)
-
-
-def _expand_ts(w, base_ndim: int, ts: tuple):
-    """Let a shared bias broadcast over the trial dims of the values."""
-    if ts and w.ndim == base_ndim:
-        return w.reshape(w.shape + (1,) * len(ts))
-    return w
 
 
 def _fifo_stats(arrivals: np.ndarray, departures: np.ndarray) -> int:
@@ -232,32 +225,26 @@ def _window_values(values: np.ndarray, w, gate: np.ndarray, f: int,
     return acc.reshape(win_pos.shape + (d_out,) + ts)
 
 
-def _run_conv_like(entry: LayerAllocation, feed: LayerSim, w, bias,
-                   ts: tuple) -> LayerSim:
+def _run_conv_like(entry: LayerAllocation, feed: LayerSim, w) -> LayerSim:
     ly = entry.layer
     f, k, s, p, d_in, d_out = ly.f, ly.k, ly.s, ly.p, ly.d_in, ly.d_out
-    unit_alloc = entry.unit
-    is_pool = ly.kind == LayerKind.MAXPOOL
-    standard = ly.kind == LayerKind.CONV
     n_maps = len(feed.arrivals)
 
-    streams = math.ceil(entry.rate.r_in)
-    q = -(-d_in // streams)                      # channels per stream
-    interleave = unit_alloc.i if standard else 1
+    q = -(-d_in // math.ceil(entry.rate.r_in))   # channels per stream
+    interleave = entry.interleave
     glen = q * interleave
-    # channel consumed by stream sigma at slot t (-1 = idle filler slot)
-    slot_ch = np.arange(streams) * q + np.arange(glen)[:, None] // interleave
-    slot_ch[slot_ch >= d_in] = -1
-    # the last slot that reads each input channel, and the slot that emits
-    # each output channel (the interleave tail for a standard conv, the
-    # consuming slot otherwise)
+    # the last slot that reads each input channel; output channel c leaves
+    # in slot c % m of the group's last m slots (the interleave tail of a
+    # standard conv, m = I, or the slot that read channel c, m = q), so the
+    # channels leave a pixel ordered by slot, then by channel
     last_use = (np.arange(d_in) % q + 1) * interleave - 1
-    emit_slot = glen - interleave + np.arange(d_out) % interleave \
-        if standard else np.arange(d_out) % q
+    m = interleave if ly.kind == LayerKind.CONV else q
+    emit_slot = glen - m + np.arange(d_out) % m
+    order = sorted(range(d_out), key=lambda c: (c % m, c))
 
-    # Schedule: one start cycle per stream position.  Pixel n of map m
-    # streams in at position prefix + m*period + n; the window anchored at
-    # n completes at position lat_pos + m*period + n.
+    # Schedule: one start cycle per stream position.  Pixel n of map i
+    # streams in at position prefix + i*period + n; the window anchored at
+    # n completes at position lat_pos + i*period + n.
     prefix, period = map_stream(f, p)
     n_pos = prefix + n_maps * period
     lat_pos = (k - 1) * (f + 1)
@@ -286,20 +273,12 @@ def _run_conv_like(entry: LayerAllocation, feed: LayerSim, w, bias,
 
     if ly.post_divisor > 1:
         out_vals //= ly.post_divisor
-    if bias is not None and not is_pool:
-        out_vals += _expand_ts(bias, 1, ts)
-    if standard:
-        order = [b * interleave + rho for rho in range(interleave)
-                 for b in range(unit_alloc.n_streams_out)]
-        order = [oc for oc in order if oc < d_out]
-    else:
-        order = [int(ch) for ch in slot_ch.ravel() if ch >= 0]
     return LayerSim(out_vals, out_arr, order, busy, first_cycle,
                     fifo_peak=peak)
 
 
 def _run_fcu_layer(entry: LayerAllocation, name: str, feed: LayerSim,
-                   w, bias, ts: tuple) -> LayerSim:
+                   w, ts: tuple) -> LayerSim:
     ly = entry.layer
     unit_alloc = entry.unit
     j, h, n_fcu = unit_alloc.j, unit_alloc.h, unit_alloc.n_fcu
@@ -344,8 +323,6 @@ def _run_fcu_layer(entry: LayerAllocation, name: str, feed: LayerSim,
                               w[:, feats])
         _check_width(out_vals, entry.acc_width, "FCU accumulation")
 
-    if bias is not None:
-        out_vals += _expand_ts(bias, 1, ts)
     order = [u * h + sl for sl in range(h) for u in range(n_fcu)]
     return LayerSim(out_vals, out_arr, order, busy, first_cycle,
                     fifo_peak=peak)
@@ -370,7 +347,10 @@ def simulate_network(plan: ArchitecturePlan, weights: dict,
     """Run every planned layer over one or more input maps.
 
     x_maps: one (h, w, c, *trials) array or a list of them, with the same
-    trial axes, for back-to-back maps.  Outputs are bit-exact against the
+    trial axes, for back-to-back maps.  weights maps a layer name to its
+    "w" (LayerSpec.weight_shape) and, with has_bias, "b" ((d_out,)), each
+    shared or stacked over the trial axes; the bias is added to the layer's
+    results before any truncation.  Outputs are bit-exact against the
     reference inference under the same truncate setting.
     """
     spec = plan.spec
@@ -410,17 +390,25 @@ def simulate_network(plan: ArchitecturePlan, weights: dict,
             raise SimConfigError(f"{name}: no weights provided")
         w, bias = (None if v is None else np.asarray(v, dtype=np.int64)
                    for v in (w, bias))
-        for what, value, shape in (("weights", w, weight_shape(ly)),
-                                   ("bias", bias, (ly.d_out,))):
-            if value is not None and shape is not None \
-                    and value.shape not in (shape, shape + ts):
+        for what, value, shape in (
+                ("weights", w, ly.weight_shape),
+                ("bias", bias, (ly.d_out,) if ly.has_bias else None)):
+            if value is None:
+                continue
+            if shape is None:
+                raise SimConfigError(f"{name}: the layer takes no {what}")
+            if value.shape not in (shape, shape + ts):
                 raise SimConfigError(
                     f"{name}: {what} of shape {value.shape}, expected "
                     f"{shape}" + (f" or {shape + ts}" if ts else ""))
         if isinstance(entry.unit, FcuAllocation):
-            sim = _run_fcu_layer(entry, name, feed, w, bias, ts)
+            sim = _run_fcu_layer(entry, name, feed, w, ts)
         else:
-            sim = _run_conv_like(entry, feed, w, bias, ts)
+            sim = _run_conv_like(entry, feed, w)
+        if bias is not None:
+            # (d_out,) or (d_out, *TS) against (maps, pixels, d_out, *TS)
+            sim.values += bias.reshape(
+                bias.shape + (1,) * (1 + len(ts) - bias.ndim))
         if events is not None:
             events += _signal_events(name, sim)
         if truncate:

@@ -176,14 +176,18 @@ def test_analyze_scaled_model_row_count(capsys, mbv1_file):
     assert any(l.startswith("!") and "stalls" in l for l in out.splitlines())
 
 
+def _write(tmp_path, text):
+    path = tmp_path / "weights.json"
+    path.write_text(text)
+    return str(path)
+
+
 def _weights_file(tmp_path, layer, cut):
     """Running-example weights with one layer's kernels cut to a wrong
     shape, as a weights file."""
     weights = gen_network_weights(running_example(), 0)
     weights[layer]["w"] = cut(weights[layer]["w"])
-    path = tmp_path / "weights.json"
-    path.write_text(weights_to_json(weights))
-    return str(path)
+    return _write(tmp_path, weights_to_json(weights))
 
 
 @pytest.fixture()
@@ -196,6 +200,25 @@ def c1_kernels_3x3(tmp_path):
 def c2_kernels_4_out(tmp_path):
     # C2 given 4 output channels' kernels instead of 16
     return _weights_file(tmp_path, "C2", lambda w: w[:4])
+
+
+@pytest.fixture()
+def p1_kernel(tmp_path):
+    # the max pool P1 given a kernel, which would run it as a convolution
+    weights = gen_network_weights(running_example(), 0)
+    doc = json.loads(weights_to_json(weights))
+    doc["P1"] = {"w": [[[[1, 1], [1, 1]]] * 8] * 8, "b": None}   # (8, 8, 2, 2)
+    return _write(tmp_path, json.dumps(doc))
+
+
+@pytest.fixture()
+def ragged_weights(tmp_path):
+    return _write(tmp_path, '{"C1": {"w": [[1], [1, 2]], "b": null}}')
+
+
+@pytest.fixture()
+def non_numeric_weights(tmp_path):
+    return _write(tmp_path, '{"C1": {"w": "abc"}}')
 
 
 def _bad(*argv, doc="rex_file"):
@@ -217,6 +240,9 @@ def _bad(*argv, doc="rex_file"):
     # "@name" stands for the file the fixture `name` writes
     _bad("simulate", "--weights", "@c1_kernels_3x3"),
     _bad("simulate", "--weights", "@c2_kernels_4_out"),
+    _bad("simulate", "--weights", "@p1_kernel"),
+    _bad("simulate", "--weights", "@ragged_weights"),
+    _bad("simulate", "--weights", "@non_numeric_weights"),
 ])
 def test_bad_input_exits_2(capsys, request, doc, argv):
     path = request.getfixturevalue(doc)

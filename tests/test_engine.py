@@ -450,21 +450,42 @@ def test_input_maps_of_different_trial_shapes_rejected():
             simulate_network(plan, weights, maps)
 
 
-@pytest.mark.parametrize("layer, field, shape, message", [
-    ("C1", "w", (8, 1, 3, 3), "C1: weights of shape (8, 1, 3, 3), expected "
-                              "(8, 1, 5, 5) or (8, 1, 5, 5, 2)"),
-    ("C2", "w", (4, 8, 5, 5), "C2: weights of shape (4, 8, 5, 5), expected "
-                              "(16, 8, 5, 5) or (16, 8, 5, 5, 2)"),
-    ("F1", "b", (10, 3), "F1: bias of shape (10, 3), expected (10,) or "
-                         "(10, 2)"),
-])
-def test_weights_of_the_wrong_shape_rejected(rex_spec, layer, field, shape,
+def _conv_avgpool():
+    return _spec([{"kind": "conv", "k": 3, "s": 1, "p": 1, "d_out": 2},
+                  {"kind": "avgpool", "k": 2, "name": "A1"}], h=4)
+
+
+WRONG_PARAMETERS = [
+    (running_example, "C1", "w", (8, 1, 3, 3),
+     "C1: weights of shape (8, 1, 3, 3), expected (8, 1, 5, 5) or "
+     "(8, 1, 5, 5, 2)"),
+    (running_example, "C2", "w", (4, 8, 5, 5),
+     "C2: weights of shape (4, 8, 5, 5), expected (16, 8, 5, 5) or "
+     "(16, 8, 5, 5, 2)"),
+    (running_example, "F1", "b", (10, 3),
+     "F1: bias of shape (10, 3), expected (10,) or (10, 2)"),
+    # a max pool has no kernel, and a lowered average pool has its constant
+    # one but no bias: neither may be run as a convolution
+    (running_example, "P1", "w", (8, 8, 2, 2),
+     "P1: the layer takes no weights"),
+    (_conv_avgpool, "A1", "b", (2,), "A1: the layer takes no bias"),
+]
+
+
+# the ids pytest would form from every parameter but the network
+@pytest.mark.parametrize(
+    "make_spec, layer, field, shape, message", WRONG_PARAMETERS,
+    ids=[f"{layer}-{field}-shape{i}-{message}"
+         for i, (_, layer, field, _, message) in enumerate(WRONG_PARAMETERS)])
+def test_weights_of_the_wrong_shape_rejected(make_spec, layer, field, shape,
                                              message):
-    weights = gen_network_weights(rex_spec, 0)
-    weights[layer][field] = np.zeros(shape, dtype=np.int64)
-    x = np.stack([gen_random((24, 24, 1), t, 8) for t in range(2)], axis=-1)
+    spec = make_spec()
+    weights = gen_network_weights(spec, 0)
+    weights.setdefault(layer, {})[field] = np.zeros(shape, dtype=np.int64)
+    x = np.stack([gen_random(spec.input_shape, t, 8) for t in range(2)],
+                 axis=-1)
     with pytest.raises(SimConfigError) as exc:
-        simulate_network(plan_network(rex_spec), weights, x)
+        simulate_network(plan_network(spec), weights, x)
     assert str(exc.value) == message
 
 
