@@ -210,16 +210,15 @@ def worst_case_widths(plan: ArchitecturePlan, quant: QuantFormat) -> list[int]:
             acc = out = in_bits
         elif ly.kind == LayerKind.RESIDUAL_ADD:
             acc = out = in_bits + 1
+        elif ly.constant_weights:
+            # k*k unit-weight terms then floor division by k*k: the quotient
+            # fits the input width again
+            acc = in_bits + max(0, math.ceil(math.log2(ly.k * ly.k)))
+            out = in_bits
         else:
             terms = math.prod(ly.weight_shape[1:])
-            acc = in_bits + quant.weight_bits + max(0, math.ceil(math.log2(terms)))
-            if ly.constant_weights:
-                # unit weights then floor division: the quotient fits the
-                # input width again
-                acc = in_bits + max(0, math.ceil(math.log2(terms)))
-                out = in_bits
-            else:
-                out = acc
+            acc = out = in_bits + quant.weight_bits \
+                + max(0, math.ceil(math.log2(terms)))
         entry.acc_width = acc
         widths.append(acc)
         in_bits = out

@@ -350,7 +350,9 @@ def cmd_trace(args) -> int:
     if args.format == "json":
         print(json.dumps(trace.to_events(), indent=2))
     else:
-        print(trace.to_text())
+        print(_table(["t"] + trace.columns,
+                     [[str(row.cycle)] + [row.cell(c) for c in trace.columns]
+                      for row in trace.rows]))
     return 0
 
 

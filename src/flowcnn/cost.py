@@ -180,7 +180,7 @@ def layer_cost(entry: LayerAllocation, scope: CostScope,
         vec = vec + kpu_cost(ly.k, ly.f, unit.c).scaled(unit.n_kpu)
         if unit.accumulators:
             vec = vec + accumulator_cost(ly.d_out, unit.i, unit.n_kpu)
-        if scope.include_bias and ly.has_bias:
+        if scope.include_bias and ly.has_weights:
             if ly.kind == LayerKind.DW_CONV:
                 vec = vec + bias_cost(ly.d_out, -(-ly.d_out // unit.n_kpu))
             else:

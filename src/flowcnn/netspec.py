@@ -72,6 +72,11 @@ LOWERED_KINDS = {
 }
 
 
+# The keys a document layer may carry
+DOCUMENT_KEYS = {"kind", "name", "f", "k", "s", "p", "d_out",
+                 "residual_source", "internal_input"}
+
+
 @dataclass(frozen=True)
 class QuantFormat:
     """Two's-complement fixed-point widths for weights and activations."""
@@ -101,7 +106,6 @@ class LayerSpec:
     name: str = ""
     # Lowering artifacts
     constant_weights: bool = False   # avgpool lowered to dw conv
-    post_divisor: int = 1            # floor division applied after the sum
     internal_input: bool = False     # input link lives inside a lowered pair
 
     @property
@@ -116,16 +120,18 @@ class LayerSpec:
 
     @property
     def weight_shape(self) -> tuple[int, ...] | None:
-        """The layer's kernel layout, None for a layer without one (max
-        pooling, residual merges):
+        """The layer's trained kernel layout, None for a layer without one
+        (max pooling, residual merges, a lowered average pool):
 
           conv        (d_out, d_in, k, k)        depthwise  (d, k, k)
           pointwise   (d_out, d_in)              fc         (d_out, f*f*d_in)
 
-        A lowered average pool is a depthwise conv with a constant unit
-        kernel.  Every axis after the first is summed into one output value.
-        Biases are one int per output channel, for layers with has_bias.
+        A lowered average pool's unit kernel and k*k divisor belong to the
+        lowering.  Every axis after the first is summed into one output
+        value.  A layer with weights has one bias per output channel.
         """
+        if self.constant_weights:
+            return None
         if self.kind == LayerKind.CONV:
             return (self.d_out, self.d_in, self.k, self.k)
         if self.kind == LayerKind.DW_CONV:
@@ -138,18 +144,14 @@ class LayerSpec:
 
     @property
     def weight_count(self) -> int:
-        """Trained parameters, excluding biases and constant kernels."""
+        """Trained parameters, excluding biases."""
         from math import prod
         shape = self.weight_shape
-        return 0 if shape is None or self.constant_weights else prod(shape)
+        return 0 if shape is None else prod(shape)
 
     @property
     def has_weights(self) -> bool:
         return self.weight_shape is not None
-
-    @property
-    def has_bias(self) -> bool:
-        return self.has_weights and not self.constant_weights
 
 
 @dataclass
@@ -216,6 +218,11 @@ def _lower_raw_layer(raw: dict, idx: int, f: int, d_in: int) -> list[LayerSpec]:
     except ValueError:
         raise SchemaError(f"{path}.kind: unknown kind {kind_text!r}") from None
     name = raw.get("name", "")
+    unknown = [key for key in raw if key not in DOCUMENT_KEYS]
+    if unknown:
+        hint = "; write an average pool as kind 'avgpool'" \
+            if kind == LayerKind.DW_CONV else ""
+        raise SchemaError(f"{path}.{unknown[0]}: unknown key{hint}")
 
     if kind in (LayerKind.MAXPOOL, LayerKind.AVGPOOL):
         k = _positive(raw, "k", path)
@@ -225,8 +232,7 @@ def _lower_raw_layer(raw: dict, idx: int, f: int, d_in: int) -> list[LayerSpec]:
         if kind == LayerKind.AVGPOOL:
             # constant 1/(k*k) weights, realised as unit weights + floor shift
             return [LayerSpec(LayerKind.DW_CONV, f, k, s, p, d_in, d_out,
-                              name=name, constant_weights=True,
-                              post_divisor=k * k)]
+                              name=name, constant_weights=True)]
         return [LayerSpec(kind, f, k, s, p, d_in, d_out, name=name)]
 
     if kind == LayerKind.FC:
@@ -251,15 +257,10 @@ def _lower_raw_layer(raw: dict, idx: int, f: int, d_in: int) -> list[LayerSpec]:
         pw = LayerSpec(LayerKind.PW_CONV, dw.f_out, 1, 1, 0, d_in, d_out,
                        name=f"{name}.pw" if name else "", internal_input=True)
         return [dw, pw]
-    if kind == LayerKind.DW_CONV:
-        # round-trip markers left by serialize_network on lowered avgpools
-        return [LayerSpec(kind, f, k, s, p, d_in, d_out, name=name,
-                          constant_weights=bool(raw.get("constant_weights")),
-                          post_divisor=raw.get("post_divisor", 1))]
     if kind == LayerKind.PW_CONV:
         return [LayerSpec(kind, f, 1, 1, 0, d_in, d_out, name=name,
                           internal_input=bool(raw.get("internal_input")))]
-    return [LayerSpec(LayerKind.CONV, f, k, s, p, d_in, d_out, name=name)]
+    return [LayerSpec(kind, f, k, s, p, d_in, d_out, name=name)]
 
 
 def parse_network(document: str | dict) -> NetworkSpec:
@@ -389,18 +390,18 @@ def validate_network(spec: NetworkSpec) -> list[Diagnostic]:
 
 
 def serialize_network(spec: NetworkSpec) -> dict:
-    """Emit the lowered document form; parse(serialize(s)) == s."""
+    """Emit the lowered document form, one row per lowered layer, with f
+    declared; parse(serialize(s)) == s.  A lowered average pool is written
+    back as its `avgpool` row, which parsing lowers again."""
     layers = []
     for ly in spec.layers:
-        row: dict = {"kind": ly.kind.value, "f": ly.f, "k": ly.k,
+        kind = LayerKind.AVGPOOL if ly.constant_weights else ly.kind
+        row: dict = {"kind": kind.value, "f": ly.f, "k": ly.k,
                      "s": ly.s, "p": ly.p, "d_out": ly.d_out}
         if ly.kind == LayerKind.FC:
             row = {"kind": ly.kind.value, "f": ly.f, "d_out": ly.d_out}
         if ly.kind == LayerKind.RESIDUAL_ADD:
             row["residual_source"] = ly.residual_source
-        if ly.constant_weights:
-            row["constant_weights"] = True
-            row["post_divisor"] = ly.post_divisor
         if ly.internal_input:
             row["internal_input"] = True
         if ly.name:

@@ -2,10 +2,9 @@
 
 Tensors are numpy int64 arrays in (height, width, channels) layout; pixel n
 of a square map sits at (n // f, n % f).  All arithmetic is exact integer
-arithmetic.  Average pooling divides the window sum by k*k with floor
-semantics, the same rule the lowered constant-weight depthwise stage applies,
-so both routes stay bit-identical.  Each layer's weights follow
-`LayerSpec.weight_shape`.
+arithmetic.  A lowered average pool is evaluated as the pool it stands for:
+the zero-padded window sum, floor-divided by k*k.  Each layer's weights
+follow `LayerSpec.weight_shape`.
 """
 
 from __future__ import annotations
@@ -68,10 +67,10 @@ def ref_maxpool(x: np.ndarray, k: int, s: int) -> np.ndarray:
     return _window_view(x, k, s, 0).max(axis=(2, 3))
 
 
-def ref_avgpool(x: np.ndarray, k: int, s: int) -> np.ndarray:
-    """Window sum then floor division by k*k (arithmetic shift when k*k is a
-    power of two)."""
-    win = _window_view(x, k, s, 0)
+def ref_avgpool(x: np.ndarray, k: int, s: int, p: int = 0) -> np.ndarray:
+    """Zero-padded window sum then floor division by k*k (arithmetic shift
+    when k*k is a power of two)."""
+    win = _window_view(x, k, s, p)
     return win.sum(axis=(2, 3), dtype=np.int64) // (k * k)
 
 
@@ -108,10 +107,9 @@ def apply_layer(layer: LayerSpec, x: np.ndarray, w, bias) -> np.ndarray:
         return out.reshape(1, 1, -1)
     if layer.kind == LayerKind.MAXPOOL:
         return ref_maxpool(x, layer.k, layer.s)
+    if layer.constant_weights:
+        return ref_avgpool(x, layer.k, layer.s, layer.p)
     if layer.kind == LayerKind.DW_CONV:
-        if layer.constant_weights:
-            out = ref_depthwise(x, w, None, layer.s, layer.p)
-            return out // layer.post_divisor
         return ref_depthwise(x, w, bias, layer.s, layer.p)
     if layer.kind == LayerKind.PW_CONV:
         return ref_pointwise(x, w, bias)
@@ -150,8 +148,7 @@ def gen_random(shape: tuple[int, ...], seed: int, width: int) -> np.ndarray:
 
 
 def gen_network_weights(spec: NetworkSpec, seed: int) -> dict:
-    """Seeded weights and biases for every layer that has them; constant
-    kernels (lowered average pooling) get unit weights."""
+    """Seeded weights and biases for every layer that has them."""
     rng = np.random.default_rng(seed)
     wbits = spec.quant.weight_bits
     half = 1 << (wbits - 1)
@@ -161,9 +158,6 @@ def gen_network_weights(spec: NetworkSpec, seed: int) -> dict:
         if shape is None:
             continue
         name = spec.layer_name(idx)
-        if layer.constant_weights:
-            out[name] = {"w": np.ones(shape, dtype=np.int64), "b": None}
-            continue
         w = rng.integers(-half, half, size=shape, dtype=np.int64)
         b = rng.integers(-half, half, size=(layer.d_out,), dtype=np.int64)
         out[name] = {"w": w, "b": b}
@@ -180,6 +174,15 @@ def weights_to_json(weights: dict) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _int_array(value) -> np.ndarray:
+    """JSON integers, nested lists of them, as int64; floats, strings,
+    booleans and ragged rows (which stay lists) raise TypeError."""
+    arr = np.asarray(value, dtype=object)
+    if not all(type(v) is int for v in arr.flat):
+        raise TypeError("not an array of JSON integers")
+    return arr.astype(np.int64)
+
+
 def weights_from_json(text: str) -> dict:
     try:
         doc = json.loads(text)
@@ -193,12 +196,12 @@ def weights_from_json(text: str) -> dict:
             raise OracleError(f"corrupt weights file: layer {name!r}")
         try:
             out[name] = {
-                "w": np.asarray(entry["w"], dtype=np.int64),
+                "w": _int_array(entry["w"]),
                 "b": None if entry.get("b") is None
-                     else np.asarray(entry["b"], dtype=np.int64),
+                     else _int_array(entry["b"]),
             }
         except (TypeError, ValueError, OverflowError):
-            # ragged or non-numeric arrays, or values beyond int64
+            # no JSON integers, or values beyond int64
             raise OracleError(f"corrupt weights file: layer {name!r}") \
                 from None
     return out

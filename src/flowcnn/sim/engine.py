@@ -266,13 +266,15 @@ def _run_conv_like(entry: LayerAllocation, feed: LayerSim, w) -> LayerSim:
     # are independent lanes, so the slot a pair occupies does not matter.
     gate = np.ones((lat_pos + n_pos, k), dtype=np.int64)
     gate[lat_pos + pix_pos] = np.tile(pad_gates(f, k, p), (f, 1))
+    if ly.constant_weights:
+        # a lowered average pool: a unit kernel, then floor division by k*k
+        w = np.ones((d_in, k, k), dtype=np.int64)
     # a depthwise kernel is a grouped one with one input channel per group
     kernels = w[:, None] if ly.kind == LayerKind.DW_CONV else w
     out_vals = _window_values(feed.values, kernels, gate, f,
                               lat_pos + pix_pos, win_pos, entry.acc_width)
-
-    if ly.post_divisor > 1:
-        out_vals //= ly.post_divisor
+    if ly.constant_weights:
+        out_vals //= k * k
     return LayerSim(out_vals, out_arr, order, busy, first_cycle,
                     fifo_peak=peak)
 
@@ -347,9 +349,9 @@ def simulate_network(plan: ArchitecturePlan, weights: dict,
     """Run every planned layer over one or more input maps.
 
     x_maps: one (h, w, c, *trials) array or a list of them, with the same
-    trial axes, for back-to-back maps.  weights maps a layer name to its
-    "w" (LayerSpec.weight_shape) and, with has_bias, "b" ((d_out,)), each
-    shared or stacked over the trial axes; the bias is added to the layer's
+    trial axes, for back-to-back maps.  weights maps each layer with weights
+    to its "w" (LayerSpec.weight_shape) and "b" ((d_out,)), each shared or
+    stacked over the trial axes; the bias is added to the layer's
     results before any truncation.  Outputs are bit-exact against the
     reference inference under the same truncate setting.
     """
@@ -392,7 +394,7 @@ def simulate_network(plan: ArchitecturePlan, weights: dict,
                    for v in (w, bias))
         for what, value, shape in (
                 ("weights", w, ly.weight_shape),
-                ("bias", bias, (ly.d_out,) if ly.has_bias else None)):
+                ("bias", bias, (ly.d_out,) if ly.has_weights else None)):
             if value is None:
                 continue
             if shape is None:

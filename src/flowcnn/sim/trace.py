@@ -39,23 +39,6 @@ class CycleTrace:
     columns: list[str]
     rows: list[TraceRow] = field(default_factory=list)
 
-    def to_text(self) -> str:
-        widths = {c: len(c) for c in self.columns}
-        body = []
-        for row in self.rows:
-            cells = [str(row.cycle)] + [row.cell(c) for c in self.columns]
-            body.append(cells)
-            for c, cell in zip(self.columns, cells[1:]):
-                widths[c] = max(widths[c], len(cell))
-        tw = max(len("t"), max((len(r[0]) for r in body), default=1))
-        head = "  ".join(["t".rjust(tw)] + [c.rjust(widths[c]) for c in self.columns])
-        lines = [head]
-        for cells in body:
-            lines.append("  ".join([cells[0].rjust(tw)]
-                                   + [c.rjust(widths[n])
-                                      for n, c in zip(self.columns, cells[1:])]))
-        return "\n".join(lines)
-
     def to_events(self) -> list[dict]:
         out = []
         for row in self.rows:

@@ -4,9 +4,9 @@ import pytest
 
 from flowcnn.cli import main
 from flowcnn.models import mobilenet_v1, running_example
-from flowcnn.netspec import serialize_network
-from flowcnn.oracle import gen_network_weights, gen_random, save_tensor, \
-    weights_to_json
+from flowcnn.netspec import parse_network, serialize_network
+from flowcnn.oracle import gen_network_weights, gen_random, ref_network, \
+    save_tensor, weights_to_json
 
 
 def run(capsys, *argv):
@@ -91,10 +91,31 @@ def test_simulate_with_files(capsys, tmp_path, rex_file):
     code, out, _ = run(capsys, "simulate", rex_file,
                        "--weights", str(wpath), "--input", str(xpath))
     assert code == 0
-    from flowcnn.oracle import ref_network
     ref = ref_network(spec, weights, x).reshape(-1).tolist()
     got = json.loads(out.splitlines()[0].split(":", 1)[1])
     assert got == ref
+
+
+def test_avgpool_needs_no_weights(capsys, tmp_path, avgpool_file):
+    # a weights file without the average pool's entry is complete
+    spec = parse_network(_avgpool_doc())
+    weights = gen_network_weights(spec, 3)
+    assert set(weights) == {"L0"}
+    code, out, _ = run(capsys, "simulate", avgpool_file, "--seed", "3",
+                       "--weights", _write(tmp_path, weights_to_json(weights)),
+                       "--format", "json")
+    assert code == 0
+    x = gen_random((4, 4, 1), 3, 8)
+    assert json.loads(out)["outputs"] == \
+        ref_network(spec, weights, x).reshape(-1).tolist()
+
+
+def test_plan_text_lists_stall_warnings(capsys, mbv1_file):
+    code, out, _ = run(capsys, "plan", mbv1_file)
+    assert code == 0
+    warnings = [l for l in out.splitlines() if l.startswith("! ")]
+    assert warnings and all("stalls the layer" in l for l in warnings)
+    assert any(l.startswith("! avgpool: ") for l in warnings)
 
 
 def test_corrupt_weights_exit_code(capsys, tmp_path, rex_file):
@@ -212,6 +233,100 @@ def p1_kernel(tmp_path):
 
 
 @pytest.fixture()
+def c1_float_kernel(tmp_path):
+    return _coerced_c1(tmp_path, 1.5)
+
+
+@pytest.fixture()
+def c1_string_kernel(tmp_path):
+    return _coerced_c1(tmp_path, "1")
+
+
+@pytest.fixture()
+def c1_bool_kernel(tmp_path):
+    return _coerced_c1(tmp_path, True)
+
+
+@pytest.fixture()
+def c1_bool_among_ints(tmp_path):
+    # numpy reads [1, true] as int64: a dtype check alone would pass it
+    weights = json.loads(weights_to_json(gen_network_weights(
+        running_example(), 0)))
+    weights["C1"]["w"][0][0][0][0] = True
+    return _write(tmp_path, json.dumps(weights))
+
+
+def _coerced_c1(tmp_path, value):
+    """Running-example weights whose C1 kernel holds a value that is no
+    JSON integer, which int64 conversion would coerce (1.5 to 1)."""
+    weights = json.loads(weights_to_json(gen_network_weights(
+        running_example(), 0)))
+    weights["C1"]["w"] = [[[[value] * 5] * 5]] * 8
+    return _write(tmp_path, json.dumps(weights))
+
+
+def _doc_file(tmp_path, doc):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _avgpool_doc(**extra):
+    """conv then a 2x2 average pool A1 on 4x4; extra keys go on A1's row."""
+    return {"input": {"height": 4, "width": 4, "channels": 1},
+            "layers": [{"kind": "conv", "k": 3, "p": 1, "d_out": 2},
+                       dict({"kind": "avgpool", "k": 2, "name": "A1"},
+                            **extra)]}
+
+
+@pytest.fixture()
+def avgpool_file(tmp_path):
+    return _doc_file(tmp_path, _avgpool_doc())
+
+
+@pytest.fixture()
+def a1_kernel(tmp_path):
+    # the average pool A1 given a kernel of 3s, which would triple its output
+    spec = parse_network(_avgpool_doc())
+    doc = json.loads(weights_to_json(gen_network_weights(spec, 0)))
+    doc["A1"] = {"w": [[[3, 3], [3, 3]]] * 2, "b": None}
+    return _write(tmp_path, json.dumps(doc))
+
+
+def _dw_row_file(tmp_path, **markers):
+    """A 4x4x2 depthwise layer carrying the kernel and divisor markers that
+    lowered average pools were once written back with."""
+    return _doc_file(tmp_path, {
+        "input": {"height": 4, "width": 4, "channels": 2},
+        "layers": [dict({"kind": "dw_conv", "k": 3, "p": 1}, **markers)]})
+
+
+@pytest.fixture()
+def dw_divisor_4(tmp_path):
+    return _dw_row_file(tmp_path, post_divisor=4)
+
+
+@pytest.fixture()
+def dw_divisor_text(tmp_path):
+    return _dw_row_file(tmp_path, post_divisor="x")
+
+
+@pytest.fixture()
+def dw_constant_divisor_0(tmp_path):
+    return _dw_row_file(tmp_path, constant_weights=True, post_divisor=0)
+
+
+@pytest.fixture()
+def dw_constant(tmp_path):
+    return _dw_row_file(tmp_path, constant_weights=True)
+
+
+@pytest.fixture()
+def residual_file(tmp_path, residual_doc):
+    return _doc_file(tmp_path, residual_doc)
+
+
+@pytest.fixture()
 def ragged_weights(tmp_path):
     return _write(tmp_path, '{"C1": {"w": [[1], [1, 2]], "b": null}}')
 
@@ -221,8 +336,11 @@ def non_numeric_weights(tmp_path):
     return _write(tmp_path, '{"C1": {"w": "abc"}}')
 
 
-def _bad(*argv, doc="rex_file"):
-    return pytest.param(doc, list(argv), id=" ".join(argv))
+def _bad(*argv, doc="rex_file", on=None):
+    """A bad command line; `on` names the document fixture in the id."""
+    name = " ".join(argv)
+    return pytest.param(doc, list(argv),
+                        id=name if on is None else f"{name} on {on}")
 
 
 @pytest.mark.parametrize("doc,argv", [
@@ -243,6 +361,24 @@ def _bad(*argv, doc="rex_file"):
     _bad("simulate", "--weights", "@p1_kernel"),
     _bad("simulate", "--weights", "@ragged_weights"),
     _bad("simulate", "--weights", "@non_numeric_weights"),
+    # weights files take JSON integers only
+    _bad("simulate", "--weights", "@c1_float_kernel"),
+    _bad("simulate", "--weights", "@c1_string_kernel"),
+    _bad("simulate", "--weights", "@c1_bool_kernel"),
+    _bad("simulate", "--weights", "@c1_bool_among_ints"),
+    # an average pool takes no parameters
+    _bad("simulate", "--weights", "@a1_kernel", doc="avgpool_file"),
+    # a depthwise row carrying the lowering's kernel or divisor
+    _bad("compare", "--trials", "2", doc="dw_divisor_4", on="post_divisor 4"),
+    _bad("simulate", doc="dw_divisor_text", on="post_divisor x"),
+    _bad("compare", "--trials", "2", doc="dw_constant_divisor_0",
+         on="constant_weights, post_divisor 0"),
+    _bad("compare", "--trials", "2", doc="dw_constant",
+         on="constant_weights"),
+    # the engine runs straight-line networks only; a pool has no KPU trace
+    _bad("simulate", doc="residual_file", on="a residual merge"),
+    _bad("compare", doc="residual_file", on="a residual merge"),
+    _bad("trace", "--layer", "P1"),
 ])
 def test_bad_input_exits_2(capsys, request, doc, argv):
     path = request.getfixturevalue(doc)

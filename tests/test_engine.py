@@ -5,17 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowcnn.alloc import plan_network
+from flowcnn.alloc import AllocError, FcuAllocation, plan_network
 from flowcnn.models import mobilenet_v1, random_network, running_example
-from flowcnn.netspec import parse_network
+from flowcnn.netspec import LayerKind, parse_network
 from flowcnn.oracle import gen_network_weights, gen_random, ref_network
 from flowcnn.rate import (Flow, map_stream, pad_gates, propagate_rates,
                           valid_output_positions)
 from flowcnn.sim import engine
-from flowcnn.sim.engine import (SimConfigError, _chain, _paced,
+from flowcnn.sim.engine import (SimConfigError, _chain, _input_layer, _paced,
                                 _product_dtype, _window_values,
                                 simulate_network)
-from flowcnn.sim.units import KpuUnit, WidthOverflow, _check_width
+from flowcnn.sim.units import FcuUnit, KpuUnit, WidthOverflow, _check_width
 
 
 def _spec(layers, h=8, c=1, rate=None, w=None):
@@ -667,3 +667,77 @@ def test_conv_past_the_exact_bound_wraps_like_int64(layer):
             for r in range(3) for c in range(3) for i in range(2))
         assert not -2**63 <= exact < 2**63
         assert (exact + 2**63) % 2**64 - 2**63 == ref[1, 1, 0]
+
+
+def _stepped_fcu_layer(entry, feed, w, width):
+    """A fully connected or pointwise layer's sums from one stepped FcuUnit
+    per FCU, (n_maps * n_pixels, d_out), and the peak |running sum| after
+    each batch.  FCU u computes neurons u*h + sl; its weight bank holds
+    w[u*h + sl, batch] at configuration b*h + sl; the features come in the
+    producer's chan_order, every pixel of every map on the units' trailing
+    axis."""
+    ly, unit = entry.layer, entry.unit
+    j, h = unit.j, unit.h
+    n_maps, feed_pixels = feed.arrivals.shape[:2]
+    n_pixels = feed_pixels if ly.kind == LayerKind.PW_CONV else 1
+    per_vector = feed_pixels // n_pixels
+    batches = np.array([pn * ly.d_in + ch for pn in range(per_vector)
+                        for ch in feed.chan_order]).reshape(-1, j)
+    x = feed.values.reshape(n_maps * n_pixels, per_vector * ly.d_in).T
+    sums = np.zeros((x.shape[1], ly.d_out), dtype=np.int64)
+    peaks = [0] * len(batches)
+    for u in range(unit.n_fcu):
+        bank = np.stack([w[u * h + sl, batch]
+                         for batch in batches for sl in range(h)])
+        fcu = FcuUnit(j, h, len(bank), bank[:, :, None], width)
+        for b, batch in enumerate(batches):
+            for sl in range(h):
+                _, y = fcu.step(x[batch], first_round=b == 0)
+                peaks[b] = max(peaks[b], int(np.abs(y).max()))
+        # the last round leaves every neuron's final sum in the buffer
+        sums[:, u * h:(u + 1) * h] = np.array(fcu.buffer).T
+    return sums, peaks
+
+
+def _fcu_cases():
+    for seed in range(30):
+        for min_h in (1, 2, 3):
+            yield random_network(seed), min_h
+    yield running_example(), 1
+    yield running_example(), 10
+
+
+def test_stepped_fcus_match_fcu_datapath():
+    compared = 0
+    for spec, min_h in _fcu_cases():
+        try:
+            plan = plan_network(spec, min_h=min_h)
+        except AllocError:
+            continue          # no FCU sizing meets min_h
+        weights = gen_network_weights(spec, min_h)
+        xs = [gen_random(spec.input_shape, min_h + m, 8) for m in range(2)]
+        res = simulate_network(plan, weights, xs)
+        feeds = [_input_layer(np.stack(xs), plan.layers[0].rate.r_in)] \
+            + res.layers
+        for entry, feed, sim in zip(plan.layers, feeds, res.layers):
+            if not isinstance(entry.unit, FcuAllocation):
+                continue
+            name = spec.layer_name(entry.index)
+            w, bias = weights[name]["w"], weights[name]["b"]
+            sums, peaks = _stepped_fcu_layer(entry, feed, w, None)
+            assert np.array_equal(sums + bias,
+                                  sim.values.reshape(sums.shape))
+            compared += sums.size
+            # a width one bit short of the peak running sum: both raise, the
+            # engine at the first batch whose running sums leave the width
+            planned = entry.acc_width
+            bits = entry.acc_width = max(peaks).bit_length()
+            with pytest.raises(WidthOverflow, match="^FCU accumulation"):
+                _stepped_fcu_layer(entry, feed, w, bits)
+            first = next(p for p in peaks if p >= 1 << (bits - 1))
+            with pytest.raises(WidthOverflow) as exc:
+                simulate_network(plan, weights, xs)
+            assert str(exc.value) == \
+                f"FCU accumulation: |{first}| does not fit signed {bits}-bit"
+            entry.acc_width = planned
+    assert compared > 10_000

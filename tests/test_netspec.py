@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -53,7 +54,8 @@ def test_mobilenet_lowering_counts():
     assert kinds.count(LayerKind.DW_CONV) == 14  # 13 blocks + avgpool
     assert kinds.count(LayerKind.PW_CONV) == 13
     pool = spec.layers[-2]
-    assert pool.constant_weights and pool.post_divisor == 49
+    assert pool.constant_weights and pool.k == 7
+    assert pool.weight_shape is None
     assert spec.layers[-1].d_out == 1000
 
 
@@ -134,3 +136,60 @@ def test_residual_merge_parses():
     bad["layers"][2]["residual_source"] = 7
     with pytest.raises(ValidationError):
         parse_network(bad)
+
+
+def _doc_of(*layers, f=8, c=4):
+    """An f x f x c input feeding the given layer rows."""
+    return {"input": {"height": f, "width": f, "channels": c},
+            "layers": list(layers)}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_doc_of({"kind": "conv", "k": 7, "d_out": 2}, f=4),
+     "kernel k=7 larger than padded map f+2p=4"),
+    (_doc_of({"kind": "conv", "k": 3, "p": 2, "d_out": 2}),
+     "padding p=2 exceeds"),
+    (_doc_of({"kind": "maxpool", "k": 2, "s": 3}),
+     "pooling stride s=3 exceeds window k=2"),
+    (_doc_of({"kind": "maxpool", "k": 3, "s": 3, "p": 1}, f=9),
+     "pooling layers do not support padding"),
+    (_doc_of({"kind": "fc", "d_out": 4},
+                  {"kind": "conv", "k": 1, "d_out": 2}),
+     "only fully connected layers may follow"),
+    (_doc_of({"kind": "conv", "k": 3, "p": 1, "d_out": 4},
+                  {"kind": "conv", "k": 3, "p": 1, "d_out": 8},
+                  {"kind": "residual_add", "residual_source": 0}),
+     "layer 2: residual merge shape mismatch with layer 0"),
+], ids=["kernel-past-padded-map", "over-padded", "pool-stride-above-k",
+        "pool-padding", "conv-after-fc", "residual-shape-mismatch"])
+def test_structural_errors_rejected(doc, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        parse_network(doc)
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"post_divisor": 4}, r"layers\[0\]\.post_divisor: unknown key; write "
+                          r"an average pool as kind 'avgpool'$"),
+    ({"constant_weights": True},
+     r"layers\[0\]\.constant_weights: unknown key; write an average pool"),
+    ({"stride": 2}, r"layers\[0\]\.stride: unknown key"),
+])
+def test_unknown_layer_keys_rejected(extra, message):
+    # a lowered average pool's unit kernel and divisor are not parameters a
+    # document can set
+    with pytest.raises(SchemaError, match=message):
+        parse_network(_doc_of(dict({"kind": "dw_conv", "k": 3, "p": 1},
+                                        **extra)))
+
+
+def test_lowered_avgpool_serializes_as_avgpool():
+    spec = parse_network(_doc_of(
+        {"kind": "avgpool", "k": 2, "name": "A"}))
+    pool, = spec.layers
+    assert pool.kind == LayerKind.DW_CONV and pool.constant_weights
+    assert pool.weight_shape is None and pool.weight_count == 0
+    assert not pool.has_weights
+    row, = serialize_network(spec)["layers"]
+    assert row == {"kind": "avgpool", "f": 8, "k": 2, "s": 2, "p": 0,
+                   "d_out": 4, "name": "A"}
+    assert parse_network(serialize_network(spec)) == spec
