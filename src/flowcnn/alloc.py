@@ -2,20 +2,22 @@
 interleave factors, FCU sizing and worst-case adder widths.
 
 Allocation rules per layer kind (r = input data rate, d = d_in; the
-configuration count C of KPUs and PPUs comes from `rate.config_count`):
+configuration count C = q * I of KPUs and PPUs comes from
+`rate.config_count`, with q = ceil(d / ceil(r)) input channels per stream):
 
-  standard conv   I = ceil(C / d)                    output channels per stream
-                  #KPU = ceil(r) * d_out / I
-  depthwise conv  #KPU = ceil(r)
-  pooling         #PPU = ceil(r), each interleaving C channels
+  standard conv   I = min(ceil(1/r), d_out)          output channels per stream
+                  C = q * I, #KPU = ceil(r) * d_out / I
+  depthwise conv  I = 1, C = q, #KPU = ceil(r)
+  pooling         C = q, #PPU = ceil(r)
   fully connected r = j_max / h_max in lowest terms; j = a * j_max with the
                   smallest aggregation a making some divisor h of d_out with
                   min_h <= h <= a * h_max feasible; #FCU = d_out / h;
                   C = h * d_in / j
   pointwise conv  sized like a fully connected layer applied per pixel
 
-A layer stalls when C hits its min() cap; interleaving can then no longer
-restore a continuous flow and the plan carries a warning.
+A layer stalls when r * C < d: its C slots leave idle cycles in the
+d/r-cycle pace of a stream position.  When r * C > d the slots outrun the
+pace and the layer cannot keep its input rate.  The plan warns of both.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 
 from .netspec import LayerKind, LayerSpec, NetworkSpec, QuantFormat
 from .rate import (Flow, LayerRateInfo, Rate, classify_flow, config_count,
-                   propagate_rates)
+                   interleave_count, propagate_rates)
 
 
 class AllocError(Exception):
@@ -120,7 +122,7 @@ class ArchitecturePlan:
 def alloc_conv(d_in: int, d_out: int, r_in: Rate) -> ConvAllocation:
     """Allocate KPUs for a standard convolution."""
     c = config_count(LayerKind.CONV, d_in, d_out, r_in)
-    i = -(-c // d_in)
+    i = interleave_count(LayerKind.CONV, d_out, r_in)
     n_exact = Fraction(math.ceil(r_in) * d_out, i)
     n_kpu = math.ceil(n_exact)
     broken = n_kpu != n_exact or d_out % i != 0
@@ -272,6 +274,12 @@ def plan_network(spec: NetworkSpec,
             warnings.append(
                 f"{spec.layer_name(idx)}: input rate {info.r_in} stalls the "
                 f"layer (utilization {info.utilization})")
+        elif isinstance(unit, (ConvAllocation, PoolAllocation)) \
+                and info.r_in * unit.c > ly.d_in:
+            warnings.append(
+                f"{spec.layer_name(idx)}: C={unit.c} slots per position "
+                f"outrun its pace of d_in/r_in = {ly.d_in / info.r_in} "
+                f"cycles; the layer cannot keep input rate {info.r_in}")
         entries.append(LayerAllocation(idx, ly, info, unit, warnings=warnings))
 
     # Stream wiring must agree with the rate chain; a mismatch here means an

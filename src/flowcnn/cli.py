@@ -73,10 +73,7 @@ def _layer_index(spec: NetworkSpec, layer: str) -> int:
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+    widths = [max(map(len, col)) for col in zip(headers, *rows)]
     fmt = "  ".join(f"{{:>{w}}}" for w in widths)
     lines = [fmt.format(*headers)]
     lines += [fmt.format(*row) for row in rows]

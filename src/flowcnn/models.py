@@ -55,8 +55,8 @@ def random_network(seed: int, max_layers: int = 6, max_f: int = 16,
 
     Channel counts are powers of two and the input streams one full pixel
     per cycle, so every derived rate divides cleanly.  Candidates whose plan
-    stalls, breaks continuity or overflows an int64 accumulator are
-    resampled.
+    stalls, warns (continuity breaks, or C slots outrun a layer's pace) or
+    overflows an int64 accumulator are resampled.
     """
     from .alloc import AllocError, plan_network
     from .netspec import SpecError

@@ -182,28 +182,20 @@ class Diagnostic:
         return f"{self.severity}: {where}: {self.message}"
 
 
-def parse_rate(text: str | int) -> Fraction:
-    if isinstance(text, int):
-        return Fraction(text)
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad rate {text!r}: {exc}") from None
-
-
-def _require(obj: dict, key: str, path: str, types) -> object:
+def _require(obj: dict, key: str, path: str, types, default=None) -> object:
     if key not in obj:
+        if default is not None:
+            return default
         raise SchemaError(f"{path}: missing key {key!r}")
     val = obj[key]
-    if not isinstance(val, types) or isinstance(val, bool):
+    # JSON true and false are Python ints too; only a bool field takes them
+    if not isinstance(val, types) or isinstance(val, bool) != (types is bool):
         raise SchemaError(f"{path}.{key}: expected {types}, got {type(val).__name__}")
     return val
 
 
 def _positive(obj: dict, key: str, path: str, default=None, minimum=1) -> int:
-    if default is not None and key not in obj:
-        return default
-    val = _require(obj, key, path, int)
+    val = _require(obj, key, path, int, default)
     if val < minimum:
         raise SchemaError(f"{path}.{key}: must be >= {minimum}, got {val}")
     return val
@@ -217,7 +209,8 @@ def _lower_raw_layer(raw: dict, idx: int, f: int, d_in: int) -> list[LayerSpec]:
         kind = LayerKind(kind_text)
     except ValueError:
         raise SchemaError(f"{path}.kind: unknown kind {kind_text!r}") from None
-    name = raw.get("name", "")
+    name = _require(raw, "name", path, str, "")
+    internal = _require(raw, "internal_input", path, bool, False)
     unknown = [key for key in raw if key not in DOCUMENT_KEYS]
     if unknown:
         hint = "; write an average pool as kind 'avgpool'" \
@@ -259,7 +252,7 @@ def _lower_raw_layer(raw: dict, idx: int, f: int, d_in: int) -> list[LayerSpec]:
         return [dw, pw]
     if kind == LayerKind.PW_CONV:
         return [LayerSpec(kind, f, 1, 1, 0, d_in, d_out, name=name,
-                          internal_input=bool(raw.get("internal_input")))]
+                          internal_input=internal)]
     return [LayerSpec(kind, f, k, s, p, d_in, d_out, name=name)]
 
 
@@ -283,7 +276,11 @@ def parse_network(document: str | dict) -> NetworkSpec:
     channels = _positive(inp, "channels", "input")
     if height != width:
         raise SchemaError("input: feature maps must be square (height == width)")
-    rate = parse_rate(inp.get("rate", channels))
+    rate_text = _require(inp, "rate", "input", (str, int), channels)
+    try:
+        rate = Fraction(rate_text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad rate {rate_text!r}: {exc}") from None
 
     quant_doc = document.get("quant", {})
     if not isinstance(quant_doc, dict):
@@ -340,10 +337,17 @@ def validate_network(spec: NetworkSpec) -> list[Diagnostic]:
     if spec.input_rate > spec.d0:
         err(None, f"input rate {spec.input_rate} exceeds one pixel per cycle "
                   f"(channels = {spec.d0})")
+    if max(spec.quant.weight_bits, spec.quant.activation_bits) > 64:
+        err(None, f"weight_bits {spec.quant.weight_bits} and activation_bits "
+                  f"{spec.quant.activation_bits} must be at most 64")
 
     f, d = spec.input_shape[0], spec.d0
     seen_fc = False
+    first_named: dict[str, int] = {}   # weights are looked up by layer name
     for i, ly in enumerate(spec.layers):
+        name = spec.layer_name(i)
+        if first_named.setdefault(name, i) != i:
+            err(i, f"name {name!r} already names layer {first_named[name]}")
         if ly.kind not in LOWERED_KINDS:
             err(i, f"kind {ly.kind.value} must be lowered before analysis")
             continue

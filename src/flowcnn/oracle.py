@@ -102,9 +102,7 @@ def wrap_to_width(x: np.ndarray, bits: int) -> np.ndarray:
 def apply_layer(layer: LayerSpec, x: np.ndarray, w, bias) -> np.ndarray:
     """One lowered layer; x comes in as (h, w, c) or flat for FC chains."""
     if layer.kind == LayerKind.FC:
-        flat = x.reshape(-1)
-        out = ref_fc(flat, w, bias)
-        return out.reshape(1, 1, -1)
+        return ref_fc(x.reshape(-1), w, bias).reshape(1, 1, -1)
     if layer.kind == LayerKind.MAXPOOL:
         return ref_maxpool(x, layer.k, layer.s)
     if layer.constant_weights:
@@ -150,8 +148,7 @@ def gen_random(shape: tuple[int, ...], seed: int, width: int) -> np.ndarray:
 def gen_network_weights(spec: NetworkSpec, seed: int) -> dict:
     """Seeded weights and biases for every layer that has them."""
     rng = np.random.default_rng(seed)
-    wbits = spec.quant.weight_bits
-    half = 1 << (wbits - 1)
+    half = 1 << (spec.quant.weight_bits - 1)
     out: dict = {}
     for idx, layer in enumerate(spec.layers):
         shape = layer.weight_shape

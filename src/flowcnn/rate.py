@@ -90,31 +90,28 @@ def map_stream(f: int, p: int) -> tuple[int, int]:
     return prefix, f * f + prefix
 
 
-def config_count(kind: LayerKind, d_in: int, d_out: int, r_in: Rate) -> int:
-    """C: the configurations one unit cycles through at input rate r_in.
+def interleave_count(kind: LayerKind, d_out: int, r_in: Rate) -> int:
+    """I: the output channels on one KPU stream at input rate r_in, which
+    is ceil(1/r_in) capped at d_out for a standard conv and 1 otherwise."""
+    return min(math.ceil(1 / r_in), d_out) if kind == LayerKind.CONV else 1
 
-    A KPU interleaves ceil(d_in / r_in) weight configurations, capped by the
-    kernels it can hold (d_in * d_out standard, d_in depthwise); a PPU
-    interleaves the d_in channels over its ceil(r_in) units.
-    """
-    if kind == LayerKind.MAXPOOL:
-        return -(-d_in // math.ceil(r_in))
-    if kind == LayerKind.CONV:
-        cap = d_in * d_out
-    elif kind == LayerKind.DW_CONV:
-        cap = d_in
-    else:
-        raise ValueError(f"cannot classify kind {kind}")
-    return min(math.ceil(Fraction(d_in) / r_in), cap)
+
+def config_count(kind: LayerKind, d_in: int, d_out: int, r_in: Rate) -> int:
+    """C = q * I: the configurations a KPU or PPU cycles through per stream
+    position at input rate r_in, and the slots the engine runs there.  Each
+    of the ceil(r_in) unit streams carries q = ceil(d_in / ceil(r_in)) input
+    channels, and each of them meets I output channels in turn."""
+    return -(-d_in // math.ceil(r_in)) * interleave_count(kind, d_out, r_in)
 
 
 def classify_flow(layer: LayerSpec, r_in: Rate) -> LayerRateInfo:
     """Continuous / restored-by-interleaving / stalled, plus utilization.
 
-    A layer stalls when its configuration count hits the min() cap, i.e.
-    interleaving can no longer hide the idle cycles; utilization is
-    min(1, r_in * C / d_in).  FCU-based layers (fully connected, pointwise)
-    absorb slow input by construction and never stall.
+    A position takes C slots and the input supplies one every d_in/r_in
+    cycles, so utilization is min(1, r_in * C / d_in): the layer stalls when
+    r_in * C < d_in, where interleaving cannot hide the idle cycles, and is
+    restored when C > 1 slots fill the pace.  FCU-based layers (fully
+    connected, pointwise) absorb slow input by construction and never stall.
     """
     r_out = output_rate(layer.d_in, layer.d_out, r_in, layer.s)
     if layer.kind in (LayerKind.FC, LayerKind.PW_CONV, LayerKind.RESIDUAL_ADD):

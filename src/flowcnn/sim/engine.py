@@ -230,9 +230,10 @@ def _run_conv_like(entry: LayerAllocation, feed: LayerSim, w) -> LayerSim:
     f, k, s, p, d_in, d_out = ly.f, ly.k, ly.s, ly.p, ly.d_in, ly.d_out
     n_maps = len(feed.arrivals)
 
-    q = -(-d_in // math.ceil(entry.rate.r_in))   # channels per stream
-    interleave = entry.interleave
-    glen = q * interleave
+    # the plan's C slots per position: q input channels per stream, each
+    # meeting `interleave` output channels in turn
+    glen, interleave = entry.configs, entry.interleave
+    q = glen // interleave
     # the last slot that reads each input channel; output channel c leaves
     # in slot c % m of the group's last m slots (the interleave tail of a
     # standard conv, m = I, or the slot that read channel c, m = q), so the
@@ -294,10 +295,7 @@ def _run_fcu_layer(entry: LayerAllocation, name: str, feed: LayerSim,
     # of all the feed's features
     n_pixels = feed_pixels if ly.kind == LayerKind.PW_CONV else 1
     flat_width = feed_pixels // n_pixels * ly.d_in
-    if flat_width % j:
-        raise SimConfigError(f"{name}: {flat_width} features not divisible "
-                             f"by j={j}")
-    n_batches = flat_width // j
+    n_batches = unit_alloc.c // h
 
     # Structural feature order: the producer's emission order per pixel.
     feat_order = [pn * ly.d_in + ch
@@ -414,8 +412,7 @@ def simulate_network(plan: ArchitecturePlan, weights: dict,
         if events is not None:
             events += _signal_events(name, sim)
         if truncate:
-            bits = spec.quant.activation_bits
-            sim.values = wrap_to_width(sim.values, bits)
+            sim.values = wrap_to_width(sim.values, spec.quant.activation_bits)
         sims.append(sim)
         feed = sim
 

@@ -7,7 +7,7 @@ from flowcnn.alloc import (AllocError, alloc_conv, alloc_depthwise,
                            size_fcu)
 from flowcnn.cost import accumulator_cost
 from flowcnn.models import mobilenet_v1
-from flowcnn.netspec import LayerKind, LayerSpec, QuantFormat
+from flowcnn.netspec import LayerKind, LayerSpec, QuantFormat, parse_network
 from flowcnn.rate import Flow, classify_flow
 
 
@@ -137,6 +137,30 @@ def test_plan_mobilenet_table_counts():
     plan100 = plan_network(mobilenet_v1(1.0))
     assert plan100.total_kpu == 158
     assert plan100.total_fcu == 5465
+
+
+def test_mobilenet_075_depthwise_stalls_at_three_quarters():
+    # block7.dw: 384 channels at 3/2 on two KPUs of 192 channels each, so a
+    # position takes 192 slots of its 256-cycle pace
+    plan = plan_network(mobilenet_v1(0.75))
+    entry = next(e for e in plan.layers if e.layer.name == "block7.dw")
+    assert (entry.n_kpu, entry.configs) == (2, 192)
+    assert entry.rate.flow is Flow.STALLED
+    assert entry.rate.utilization == Fraction(3, 4)
+
+
+def test_plan_warns_when_slots_outrun_the_pace():
+    # conv 8->16 at 8/9: 8 input channels per stream, each meeting 2 output
+    # channels, take 16 slots of a 9-cycle pace
+    spec = parse_network({
+        "input": {"height": 8, "width": 8, "channels": 8, "rate": "8/9"},
+        "layers": [{"kind": "conv", "k": 3, "p": 1, "d_out": 16,
+                    "name": "C1"}]})
+    plan = plan_network(spec)
+    assert plan.layers[0].rate.flow is Flow.RESTORED_BY_INTERLEAVING
+    assert plan.warnings == [
+        "C1: C=16 slots per position outrun its pace of d_in/r_in = 9 "
+        "cycles; the layer cannot keep input rate 8/9"]
 
 
 def test_work_conservation():

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from flowcnn.cli import main
-from flowcnn.models import mobilenet_v1, running_example
+from flowcnn.models import data_path, mobilenet_v1, running_example
 from flowcnn.netspec import parse_network, serialize_network
 from flowcnn.oracle import gen_network_weights, gen_random, ref_network, \
     save_tensor, weights_to_json
@@ -336,6 +336,71 @@ def non_numeric_weights(tmp_path):
     return _write(tmp_path, '{"C1": {"w": "abc"}}')
 
 
+def _rex_edited(tmp_path, edit):
+    """The running-example document after `edit` changed it in place."""
+    with open(data_path("running_example.json")) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    return _doc_file(tmp_path, doc)
+
+
+@pytest.fixture()
+def name_list(tmp_path):
+    return _rex_edited(tmp_path, lambda d: d["layers"][0].update(name=[1]))
+
+
+@pytest.fixture()
+def name_int(tmp_path):
+    return _rex_edited(tmp_path, lambda d: d["layers"][0].update(name=5))
+
+
+@pytest.fixture()
+def name_twice(tmp_path):
+    # P1 renamed C1: one weights entry would serve both layers
+    return _rex_edited(tmp_path, lambda d: d["layers"][1].update(name="C1"))
+
+
+@pytest.fixture()
+def name_of_default(tmp_path):
+    # C1 renamed L1, the default name of the unnamed layer 1
+    def edit(doc):
+        doc["layers"][0]["name"] = "L1"
+        del doc["layers"][1]["name"]
+    return _rex_edited(tmp_path, edit)
+
+
+@pytest.fixture()
+def rate_true(tmp_path):
+    return _rex_edited(tmp_path, lambda d: d["input"].update(rate=True))
+
+
+@pytest.fixture()
+def rate_float(tmp_path):
+    # a float rate would be read as 3602879701896397/2**55; without F1 the
+    # plan would go through on it
+    def edit(doc):
+        doc["input"]["rate"] = 0.1
+        doc["layers"].pop()
+    return _rex_edited(tmp_path, edit)
+
+
+@pytest.fixture()
+def internal_input_text(tmp_path):
+    return _rex_edited(tmp_path, lambda d: d["layers"].insert(1, {
+        "kind": "pw_conv", "d_out": 8, "internal_input": "no"}))
+
+
+@pytest.fixture()
+def weight_bits_65(tmp_path):
+    return _rex_edited(tmp_path, lambda d: d["quant"].update(weight_bits=65))
+
+
+@pytest.fixture()
+def activation_bits_65(tmp_path):
+    return _rex_edited(tmp_path,
+                       lambda d: d["quant"].update(activation_bits=65))
+
+
 def _bad(*argv, doc="rex_file", on=None):
     """A bad command line; `on` names the document fixture in the id."""
     name = " ".join(argv)
@@ -379,6 +444,16 @@ def _bad(*argv, doc="rex_file", on=None):
     _bad("simulate", doc="residual_file", on="a residual merge"),
     _bad("compare", doc="residual_file", on="a residual merge"),
     _bad("trace", "--layer", "P1"),
+    # network document fields of the wrong type or out of range
+    _bad("plan", doc="name_list", on='"name": [1]'),
+    _bad("plan", doc="name_int", on='"name": 5'),
+    _bad("plan", doc="name_twice", on="two layers named C1"),
+    _bad("plan", doc="name_of_default", on="a name equal to a default"),
+    _bad("analyze", doc="rate_true", on='"rate": true'),
+    _bad("analyze", doc="rate_float", on='"rate": 0.1'),
+    _bad("plan", doc="internal_input_text", on='"internal_input": "no"'),
+    _bad("simulate", doc="weight_bits_65", on="weight_bits 65"),
+    _bad("simulate", doc="activation_bits_65", on="activation_bits 65"),
 ])
 def test_bad_input_exits_2(capsys, request, doc, argv):
     path = request.getfixturevalue(doc)

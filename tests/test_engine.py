@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from flowcnn.alloc import AllocError, FcuAllocation, plan_network
 from flowcnn.models import mobilenet_v1, random_network, running_example
@@ -269,14 +269,38 @@ def test_planned_configs_are_engine_slots():
         assert _slot_mismatches(spec) == []
 
 
-@pytest.mark.xfail(strict=True, reason="the engine runs q*I slots per "
-                   "position, not C, at these fractional rates")
 @pytest.mark.parametrize("layer, c, rate", [
-    ({"kind": "dw_conv", "k": 3, "p": 1}, 8, "3/2"),           # C 6, 4 slots
-    ({"kind": "conv", "k": 3, "p": 1, "d_out": 16}, 8, "2/5"),  # C 20, 24 slots
+    ({"kind": "dw_conv", "k": 3, "p": 1}, 8, "3/2"),           # C 4 = 4 * 1
+    ({"kind": "conv", "k": 3, "p": 1, "d_out": 16}, 8, "2/5"),  # C 24 = 8 * 3
 ])
 def test_planned_configs_are_engine_slots_at_fractional_rates(layer, c, rate):
     assert _slot_mismatches(_spec([layer], c=c, rate=rate)) == []
+
+
+FRACTIONAL_RATES = [Fraction(r) for r in (
+    "1/3", "2/5", "3/4", "8/9", "1", "10/9", "3/2", "5/3", "19/10", "5/2",
+    "7/3", "16/9")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([{"kind": "conv", "k": 3, "p": 1},
+                        {"kind": "dw_conv", "k": 3, "p": 1},
+                        {"kind": "maxpool", "k": 2, "s": 2}]),
+       st.integers(1, 16), st.integers(1, 16),
+       st.sampled_from(FRACTIONAL_RATES))
+def test_planned_configs_are_engine_slots_property(layer, d_in, d_out, rate):
+    # the plan's C is the slot count the engine runs per stream position,
+    # and comparing r_in * C with d_in says whether the C slots leave idle
+    # cycles in the d_in/r_in pace (stalled) or overrun it (warned)
+    assume(rate <= d_in)
+    if layer["kind"] == "conv":
+        layer = dict(layer, d_out=d_out)
+    spec = _spec([layer], h=4, c=d_in, rate=rate)
+    assert _slot_mismatches(spec) == []
+    entry = plan_network(spec).layers[0]
+    load = rate * entry.configs
+    assert (entry.rate.flow is Flow.STALLED) == (load < d_in)
+    assert any("outrun" in w for w in entry.warnings) == (load > d_in)
 
 
 def test_fixture_seed0_reproduced():
