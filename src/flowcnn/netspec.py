@@ -211,6 +211,9 @@ def _lower_raw_layer(raw: dict, idx: int, f: int, d_in: int) -> list[LayerSpec]:
         raise SchemaError(f"{path}.kind: unknown kind {kind_text!r}") from None
     name = _require(raw, "name", path, str, "")
     internal = _require(raw, "internal_input", path, bool, False)
+    if "internal_input" in raw and kind != LayerKind.PW_CONV:
+        raise SchemaError(f"{path}.internal_input: only a pw_conv row "
+                          f"takes it")
     unknown = [key for key in raw if key not in DOCUMENT_KEYS]
     if unknown:
         hint = "; write an average pool as kind 'avgpool'" \
@@ -300,7 +303,7 @@ def parse_network(document: str | dict) -> NetworkSpec:
     for idx, raw in enumerate(raw_layers):
         if not isinstance(raw, dict):
             raise SchemaError(f"layers[{idx}]: expected an object")
-        if "f" in raw and raw["f"] != f:
+        if "f" in raw and _require(raw, "f", f"layers[{idx}]", int) != f:
             raise ValidationError(
                 f"layers[{idx}]: declared f={raw['f']} but the chain from "
                 f"layer {idx - 1} gives f={f}")

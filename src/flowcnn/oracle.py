@@ -5,6 +5,16 @@ of a square map sits at (n // f, n % f).  All arithmetic is exact integer
 arithmetic.  A lowered average pool is evaluated as the pool it stands for:
 the zero-padded window sum, floor-divided by k*k.  Each layer's weights
 follow `LayerSpec.weight_shape`.
+
+A convolution, depthwise, pointwise or fully connected product sums
+fan_in terms x*w per output (d_in*k*k, k*k, d_in or the flattened width).
+It runs in float64 (a BLAS matrix product, or an einsum per channel for
+depthwise) when max|x| * max|w| * fan_in < 2**53, computed in Python ints:
+every term and every partial sum is then an integer of magnitude below
+2**53, which float64 represents exactly, so the result is exact in any order
+of addition.  Otherwise it runs in int64, which
+wraps mod 2**64.  The bias is added in int64 afterwards.  This rule is the
+reference's own: it shares no bound or code with the simulator it checks.
 """
 
 from __future__ import annotations
@@ -13,16 +23,45 @@ import json
 import struct
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .netspec import LayerKind, LayerSpec, NetworkSpec
 
 FIXTURE_MAGIC = b"CFT1"
 FIXTURE_VERSION = 1
+EXACT_FLOAT = 1 << 53   # float64 holds every integer below this exactly
 
 
 class OracleError(Exception):
     pass
+
+
+def _max_abs(a: np.ndarray) -> int:
+    """max |a| as a Python int (exact for the int64 minimum); 0 when empty."""
+    return max(-int(a.min()), int(a.max())) if a.size else 0
+
+
+def _exact_dtype(x: np.ndarray, w: np.ndarray, fan_in: int):
+    """The dtype in which a product of x by w, fan_in terms per output, is
+    exact.
+
+    Every term and every partial sum is at most max|x| * max|w| * fan_in in
+    magnitude, whatever the order of addition.  Below 2**53 they are all
+    integers that float64 holds exactly, so a float64 (BLAS) product gives
+    the exact integer result; otherwise the product runs in int64, which
+    wraps mod 2**64.  The bound is computed in Python ints.
+    """
+    if _max_abs(x) * _max_abs(w) * fan_in < EXACT_FLOAT:
+        return np.float64
+    return np.int64
+
+
+def _biased(out: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
+    """The exact product back in int64, plus the bias in int64."""
+    out = out.astype(np.int64, copy=False)
+    if bias is not None:
+        out = out + np.asarray(bias, dtype=np.int64)
+    return out
 
 
 def _window_view(x: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
@@ -30,25 +69,30 @@ def _window_view(x: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
     if x.ndim != 3:
         raise OracleError(f"expected (h, w, c) tensor, got shape {x.shape}")
     if p:
-        x = np.pad(x, ((p, p), (p, p), (0, 0)))
+        h, w, c = x.shape
+        padded = np.zeros((h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+        padded[p:p + h, p:p + w] = x
+        x = padded
     if x.shape[0] < k or x.shape[1] < k:
         raise OracleError(f"map {x.shape} smaller than window {k}")
-    win = sliding_window_view(x, (k, k), axis=(0, 1))   # (H', W', c, k, k)
-    return win[::s, ::s].transpose(0, 1, 3, 4, 2)       # (r, c, k, k, ch)
+    (h, w, c), (sh, sw, sc) = x.shape, x.strides
+    return as_strided(x, ((h - k) // s + 1, (w - k) // s + 1, k, k, c),
+                      (s * sh, s * sw, sh, sw, sc), writeable=False)
 
 
 def ref_conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
                s: int, p: int) -> np.ndarray:
-    """Exact integer convolution with zero padding and stride decimation."""
-    d_out, d_in = w.shape[0], w.shape[1]
+    """Exact integer convolution with zero padding and stride decimation:
+    the (positions, k*k*d_in) window matrix times the kernel matrix."""
+    d_out, d_in, k = w.shape[:3]
     if x.shape[2] != d_in:
         raise OracleError(f"input channels {x.shape[2]} != weights {d_in}")
-    win = _window_view(x, w.shape[2], s, p).astype(np.int64, copy=False)
-    out = np.tensordot(win, w.astype(np.int64, copy=False),
-                       axes=([2, 3, 4], [2, 3, 1]))
-    if bias is not None:
-        out = out + np.asarray(bias, dtype=np.int64)
-    return out
+    dtype = _exact_dtype(x, w, d_in * k * k)
+    win = _window_view(x, k, s, p)
+    rows, cols = win.shape[:2]
+    taps = win.astype(dtype, order="C").reshape(rows * cols, -1)
+    kernel = w.transpose(2, 3, 1, 0).reshape(-1, d_out).astype(dtype)
+    return _biased(taps @ kernel, bias).reshape(rows, cols, d_out)
 
 
 def ref_depthwise(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
@@ -56,11 +100,10 @@ def ref_depthwise(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     """Per-channel convolution (groups == channels)."""
     if x.shape[2] != w.shape[0]:
         raise OracleError(f"input channels {x.shape[2]} != kernels {w.shape[0]}")
-    win = _window_view(x, w.shape[1], s, p)
-    out = np.einsum("rcabi,iab->rci", win, w, dtype=np.int64)
-    if bias is not None:
-        out = out + np.asarray(bias, dtype=np.int64)
-    return out
+    k = w.shape[1]
+    dtype = _exact_dtype(x, w, k * k)
+    win = _window_view(x, k, s, p)
+    return _biased(np.einsum("rcabi,iab->rci", win, w, dtype=dtype), bias)
 
 
 def ref_maxpool(x: np.ndarray, k: int, s: int) -> np.ndarray:
@@ -76,20 +119,17 @@ def ref_avgpool(x: np.ndarray, k: int, s: int, p: int = 0) -> np.ndarray:
 
 def ref_pointwise(x: np.ndarray, w: np.ndarray,
                   bias: np.ndarray | None) -> np.ndarray:
-    out = np.einsum("rci,oi->rco", x, w, dtype=np.int64)
-    if bias is not None:
-        out = out + np.asarray(bias, dtype=np.int64)
-    return out
+    dtype = _exact_dtype(x, w, w.shape[1])
+    out = x.astype(dtype).reshape(-1, x.shape[2]) @ w.T.astype(dtype)
+    return _biased(out, bias).reshape(x.shape[:2] + (w.shape[0],))
 
 
 def ref_fc(x_flat: np.ndarray, w: np.ndarray,
            bias: np.ndarray | None) -> np.ndarray:
     if x_flat.ndim != 1 or w.shape[1] != x_flat.shape[0]:
         raise OracleError(f"fc shapes: x {x_flat.shape} vs w {w.shape}")
-    out = w.astype(np.int64) @ x_flat.astype(np.int64)
-    if bias is not None:
-        out = out + np.asarray(bias, dtype=np.int64)
-    return out
+    dtype = _exact_dtype(x_flat, w, x_flat.shape[0])
+    return _biased(w.astype(dtype) @ x_flat.astype(dtype), bias)
 
 
 def wrap_to_width(x: np.ndarray, bits: int) -> np.ndarray:

@@ -88,11 +88,21 @@ def _fifo_stats(arrivals: np.ndarray, departures: np.ndarray) -> int:
     return int((np.arange(1, arr.size + 1) - gone).max())
 
 
+def _check_stamps(top: int, what: str) -> None:
+    """Cycle stamps are int64: refuse a schedule whose stamps, bounded in
+    Python ints by top, would wrap."""
+    if top >= 1 << 63:
+        raise SimConfigError(f"the cycle stamps of {what} overflow int64")
+
+
 def _input_layer(x: np.ndarray, rate: Fraction) -> LayerSim:
     """Present the network input, (n_maps, h, w, d, *TS), as a producing
     pseudo-layer whose features arrive one by one at the input rate."""
     n_maps, h, w, d = x.shape[:4]
-    idx = np.arange(n_maps * h * w * d, dtype=np.int64)
+    n = n_maps * h * w * d
+    _check_stamps((n - 1) * rate.denominator,
+                  f"{n} input features at input rate {rate}")
+    idx = np.arange(n, dtype=np.int64)
     arrivals = (idx * rate.denominator) // rate.numerator
     return LayerSim(x.reshape((n_maps, h * w, d) + x.shape[4:]),
                     arrivals.reshape(n_maps, h * w, d), list(range(d)),
@@ -111,17 +121,24 @@ def _paced(readies: np.ndarray, pace: Fraction) -> np.ndarray:
     pace - 1.  The clock is exact in units of 1/denominator of the pace.
     """
     num, den = pace.numerator, pace.denominator
+    what = f"{len(readies)} stream positions at pace {pace}"
+    last_lead = (len(readies) - 1) * num
+    _check_stamps(max(int(readies.max()) * den, last_lead + den), what)
     lead = np.arange(len(readies), dtype=np.int64) * num
-    clock = lead + np.maximum(num - den,
-                              np.maximum.accumulate(readies * den - lead))
-    return clock // den + 1
+    late = np.maximum(num - den, np.maximum.accumulate(readies * den - lead))
+    _check_stamps(last_lead + int(late[-1]) + 1, what)   # the last clock
+    return (lead + late) // den + 1
 
 
 def _chain(ready_at: np.ndarray, glen: int) -> np.ndarray:
     """Start cycles of back-to-back groups of glen cycles: group n starts at
     ready_at[n] or when group n-1 ends, whichever is later."""
     lead = np.arange(len(ready_at), dtype=np.int64) * glen
-    return lead + np.maximum.accumulate(ready_at - lead)
+    late = np.maximum.accumulate(ready_at - lead)
+    # the last group's start, plus the slots of that group
+    _check_stamps((len(ready_at) - 1) * glen + int(late[-1]) + glen,
+                  f"{len(ready_at)} groups of {glen} cycles")
+    return lead + late
 
 
 def _product_dtype(values: np.ndarray, w):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +32,17 @@ def test_analyze_missing_file(capsys):
     code, _, err = run(capsys, "analyze", "/nonexistent/net.json")
     assert code == 2
     assert "error" in err
+
+
+def test_runs_as_a_module(capsys, rex_file):
+    """`python -m flowcnn` from a checkout, with src/ on the path only."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-m", "flowcnn", "plan", rex_file],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    code, out, _ = run(capsys, "plan", rex_file)
+    assert proc.returncode == code == 0
+    assert out and proc.stdout == out
 
 
 def test_analyze_json_format(capsys, rex_file):
@@ -391,6 +406,46 @@ def internal_input_text(tmp_path):
 
 
 @pytest.fixture()
+def internal_input_on_conv(tmp_path):
+    # only a pw_conv row may read an internal input; C1 would drop the flag
+    return _rex_edited(tmp_path,
+                       lambda d: d["layers"][0].update(internal_input=True))
+
+
+@pytest.fixture()
+def f_true(tmp_path):
+    # true == 1, the side of the map the fully connected layer reads
+    return _doc_file(tmp_path, {
+        "input": {"height": 1, "width": 1, "channels": 4},
+        "layers": [{"kind": "fc", "f": True, "d_out": 2}]})
+
+
+def _slow_conv_doc(rate):
+    """A 5x5 conv on a 24x24x1 map fed at `rate`."""
+    return {"input": {"height": 24, "width": 24, "channels": 1,
+                      "rate": rate},
+            "layers": [{"kind": "conv", "k": 5, "p": 2, "d_out": 8}]}
+
+
+@pytest.fixture()
+def input_stamps_wrap(tmp_path):
+    # 575 * 10**17 input cycles: int64 wrapped them to a wrong cycle count
+    return _doc_file(tmp_path, _slow_conv_doc("1/100000000000000000"))
+
+
+@pytest.fixture()
+def input_rate_beyond_int64(tmp_path):
+    # a rate denominator above int64: an OverflowError traceback
+    return _doc_file(tmp_path, _slow_conv_doc("1/10000000000000000000"))
+
+
+@pytest.fixture()
+def pace_stamps_wrap(tmp_path):
+    # the input stamps fit, but 676 positions at pace 15 * 10**15 do not
+    return _doc_file(tmp_path, _slow_conv_doc("1/15000000000000000"))
+
+
+@pytest.fixture()
 def weight_bits_65(tmp_path):
     return _rex_edited(tmp_path, lambda d: d["quant"].update(weight_bits=65))
 
@@ -452,6 +507,13 @@ def _bad(*argv, doc="rex_file", on=None):
     _bad("analyze", doc="rate_true", on='"rate": true'),
     _bad("analyze", doc="rate_float", on='"rate": 0.1'),
     _bad("plan", doc="internal_input_text", on='"internal_input": "no"'),
+    _bad("plan", doc="internal_input_on_conv",
+         on='"internal_input": true on a conv'),
+    _bad("plan", doc="f_true", on='"f": true'),
+    # cycle stamps that would wrap in int64
+    _bad("simulate", doc="input_stamps_wrap", on="input rate 1/10**17"),
+    _bad("simulate", doc="input_rate_beyond_int64", on="input rate 1/10**19"),
+    _bad("simulate", doc="pace_stamps_wrap", on="input rate 1/(15*10**15)"),
     _bad("simulate", doc="weight_bits_65", on="weight_bits 65"),
     _bad("simulate", doc="activation_bits_65", on="activation_bits 65"),
 ])

@@ -1,15 +1,26 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flowcnn.oracle import (OracleError, gen_network_weights, gen_random,
-                            load_tensor, ref_avgpool, ref_conv2d, ref_fc,
-                            ref_depthwise, ref_maxpool, ref_network,
+import flowcnn.oracle
+from flowcnn.oracle import (OracleError, _exact_dtype, gen_network_weights,
+                            gen_random, load_tensor, ref_avgpool, ref_conv2d,
+                            ref_fc, ref_depthwise, ref_maxpool, ref_network,
                             ref_pointwise, save_tensor, weights_from_json,
                             weights_to_json, wrap_to_width)
 
 
+def _wrap64(v: int) -> int:
+    """A Python int reduced mod 2**64 into the int64 range."""
+    return (v + (1 << 63)) % (1 << 64) - (1 << 63)
+
+
 def _brute_conv(x, w, s, p):
-    """Independent nested-loop convolution used to pin expected values."""
+    """Independent nested-loop convolution used to pin expected values:
+    exact Python-int sums, reduced mod 2**64 as int64 arithmetic wraps."""
     d_out, d_in, k, _ = w.shape
     f = x.shape[0]
     xp = np.zeros((f + 2 * p, f + 2 * p, d_in), dtype=np.int64)
@@ -24,7 +35,7 @@ def _brute_conv(x, w, s, p):
                     for b in range(k):
                         for i in range(d_in):
                             acc += int(xp[r * s + a, c * s + b, i]) * int(w[o, i, a, b])
-                out[r, c, o] = acc
+                out[r, c, o] = _wrap64(acc)
     return out
 
 
@@ -164,3 +175,88 @@ def test_tensor_fixture_roundtrip(tmp_path):
     bad.write_bytes(b"nope")
     with pytest.raises(OracleError):
         load_tensor(str(bad))
+
+
+def _peaked(rng, shape, bits):
+    """Integers of magnitude in [2**bits / 2, 2**bits], one of them 2**bits,
+    with random signs: the sums come close to the bound."""
+    a = rng.integers((1 << bits) >> 1, 1 << bits, size=shape, dtype=np.int64,
+                     endpoint=True)
+    a.flat[rng.integers(a.size)] = 1 << bits
+    return a * rng.choice(np.array([-1, 1]), size=shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["conv", "dw_conv", "pw_conv", "fc"]),
+       f=st.integers(1, 6), d_in=st.integers(1, 4), d_out=st.integers(1, 4),
+       k=st.integers(1, 3), s=st.integers(1, 3), p=st.integers(0, 2),
+       excess=st.integers(-8, 16), data=st.data())
+def test_products_exact_across_the_float_switch(kind, f, d_in, d_out, k, s, p,
+                                                excess, data):
+    """max|x| * max|w| * fan_in lands near 2**(53 + excess), on both sides
+    of 2**53: each product equals the Python-int sum reduced mod 2**64, bias
+    added."""
+    if kind in ("conv", "dw_conv") and k > f + 2 * p:
+        k = f + 2 * p
+    fan_in = {"conv": d_in * k * k, "dw_conv": k * k, "pw_conv": d_in,
+              "fc": f * f * d_in}[kind]
+    bits = 53 + excess - (fan_in - 1).bit_length()
+    x_bits = data.draw(st.integers(max(0, bits - 62), min(62, bits)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    w_shape = {"conv": (d_out, d_in, k, k), "dw_conv": (d_in, k, k),
+               "pw_conv": (d_out, d_in), "fc": (d_out, f * f * d_in)}[kind]
+    # a trial of a stacked input, as the benchmark passes it: not contiguous
+    x = _peaked(rng, (f, f, d_in, 2), x_bits)[..., 0]
+    w = _peaked(rng, w_shape, bits - x_bits)
+    bias = rng.integers(-1000, 1000, size=w_shape[0], dtype=np.int64)
+    if kind == "conv":
+        got = ref_conv2d(x, w, bias, s, p)
+        want = _brute_conv(x, w, s, p)
+    elif kind == "dw_conv":
+        got = ref_depthwise(x, w, bias, s, p)
+        want = np.concatenate([_brute_conv(x[:, :, i:i + 1], w[i][None, None],
+                                           s, p) for i in range(d_in)], axis=2)
+    elif kind == "pw_conv":
+        got = ref_pointwise(x, w, bias)
+        want = _brute_conv(x, w[:, :, None, None], 1, 0)
+    else:
+        got = ref_fc(x.reshape(-1), w, bias)
+        want = np.array([_wrap64(sum(int(a) * int(b)
+                                     for a, b in zip(row, x.reshape(-1))))
+                         for row in w], dtype=np.int64)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want + bias)     # int64 bias add wraps too
+
+
+def test_fc_beyond_float_precision():
+    # 2**53 + 1 has no float64: this product must run in int64
+    x = np.array([2**53, 1], dtype=np.int64)
+    assert ref_fc(x, np.array([[1, 1]]), None).tolist() == [2**53 + 1]
+
+
+def test_float_bound_edge():
+    one = np.array([1])
+    assert _exact_dtype(np.array([2**53 - 1]), one, 1) is np.float64
+    assert _exact_dtype(np.array([2**53]), one, 1) is np.int64
+    assert _exact_dtype(np.array([2**52]), one, 2) is np.int64
+    # |int64 minimum| is 2**63, which np.abs cannot hold
+    assert _exact_dtype(np.array([-2**63]), one, 1) is np.int64
+    assert _exact_dtype(np.array([-2**63]), np.array([0]), 9) is np.float64
+
+
+def test_oracle_imports_nothing_from_the_simulator():
+    """The reference stays independent of the engine it checks."""
+    tree = ast.parse(Path(flowcnn.oracle.__file__).read_text())
+    targets = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # oracle.py sits at the top of the package: level 1 is flowcnn
+            parts = (["flowcnn"] if node.level else []) \
+                + ([node.module] if node.module else [])
+            base = ".".join(parts)
+            targets += [base] + [f"{base}.{a.name}" for a in node.names]
+    assert "flowcnn.netspec" in targets
+    assert not [t for t in targets
+                if t == "flowcnn.sim" or t.startswith("flowcnn.sim.")]
