@@ -6,9 +6,9 @@ configuration count C = q * I of KPUs and PPUs comes from
 `rate.config_count`, with q = ceil(d / ceil(r)) input channels per stream):
 
   standard conv   I = min(ceil(1/r), d_out)          output channels per stream
-                  C = q * I, #KPU = ceil(r) * d_out / I
+                  C = q * I, #KPU = ceil(r) * ceil(d_out / I)
   depthwise conv  I = 1, C = q, #KPU = ceil(r)
-  pooling         C = q, #PPU = ceil(r)
+  max pooling     as depthwise, with PPUs (KPUs without weights)
   fully connected r = j_max / h_max in lowest terms; j = a * j_max with the
                   smallest aggregation a making some divisor h of d_out with
                   min_h <= h <= a * h_max feasible; #FCU = d_out / h;
@@ -37,12 +37,13 @@ class AllocError(Exception):
 
 @dataclass(frozen=True)
 class ConvAllocation:
-    """KPU provisioning for a standard or depthwise convolution."""
+    """Window-unit provisioning for a standard or depthwise convolution or
+    a max pool, whose units are PPUs: KPUs without weights."""
 
-    n_kpu: int
-    c: int                 # weight configurations cycled per KPU
+    n_units: int
+    c: int                 # configurations cycled per unit
     i: int                 # output channels interleaved onto one stream
-    accumulators: int      # cross-channel accumulation units (0 for dw)
+    accumulators: int      # cross-channel accumulation units (0 unless conv)
     continuity_break: bool = False
 
 
@@ -57,24 +58,24 @@ class FcuAllocation:
     c: int                 # weight configurations = h * d_in / j
 
 
-@dataclass(frozen=True)
-class PoolAllocation:
-    n_ppu: int
-    c: int                 # channels interleaved per PPU
-
-
 @dataclass
 class LayerAllocation:
     index: int
     layer: LayerSpec
     rate: LayerRateInfo
-    unit: ConvAllocation | FcuAllocation | PoolAllocation | None
+    unit: ConvAllocation | FcuAllocation | None
     acc_width: int = 0     # worst-case adder/accumulator width, bits
     warnings: list[str] = field(default_factory=list)
 
+    def _window_units(self, pool: bool) -> int:
+        if isinstance(self.unit, ConvAllocation) \
+                and (self.layer.kind == LayerKind.MAXPOOL) == pool:
+            return self.unit.n_units
+        return 0
+
     @property
     def n_kpu(self) -> int:
-        return self.unit.n_kpu if isinstance(self.unit, ConvAllocation) else 0
+        return self._window_units(pool=False)
 
     @property
     def n_fcu(self) -> int:
@@ -82,7 +83,7 @@ class LayerAllocation:
 
     @property
     def n_ppu(self) -> int:
-        return self.unit.n_ppu if isinstance(self.unit, PoolAllocation) else 0
+        return self._window_units(pool=True)
 
     @property
     def configs(self) -> int:
@@ -119,38 +120,37 @@ class ArchitecturePlan:
         return [w for e in self.layers for w in e.warnings]
 
 
-def alloc_conv(d_in: int, d_out: int, r_in: Rate) -> ConvAllocation:
-    """Allocate KPUs for a standard convolution."""
-    c = config_count(LayerKind.CONV, d_in, d_out, r_in)
-    i = interleave_count(LayerKind.CONV, d_out, r_in)
-    n_exact = Fraction(math.ceil(r_in) * d_out, i)
-    n_kpu = math.ceil(n_exact)
-    broken = n_kpu != n_exact or d_out % i != 0
+def alloc_conv(kind: LayerKind, d_in: int, d_out: int,
+               r_in: Rate) -> ConvAllocation:
+    """Allocate the window units of a standard or depthwise conv or a max
+    pool: each of the ceil(r_in) input streams feeds one unit per output
+    stream of a standard conv, ceil(d_out / I) of them, and one unit
+    otherwise.  A standard conv whose I does not divide d_out breaks
+    continuous flow on its last, partly filled stream."""
+    i = interleave_count(kind, d_out, r_in)
+    fan_out = -(-d_out // i) if kind == LayerKind.CONV else 1
+    accumulate = kind == LayerKind.CONV and not (d_in == 1 and r_in == 1)
     return ConvAllocation(
-        n_kpu=n_kpu,
-        c=c,
+        n_units=math.ceil(r_in) * fan_out,
+        c=config_count(kind, d_in, d_out, r_in),
         i=i,
-        accumulators=0 if (d_in == 1 and r_in == 1) else -(-d_out // i),
-        continuity_break=broken,
+        accumulators=fan_out if accumulate else 0,
+        continuity_break=d_out % i != 0,
     )
 
 
-def alloc_depthwise(d_in: int, r_in: Rate) -> ConvAllocation:
-    """Allocate KPUs for a depthwise convolution (one kernel per channel)."""
-    return ConvAllocation(
-        n_kpu=math.ceil(r_in),
-        c=config_count(LayerKind.DW_CONV, d_in, d_in, r_in),
-        i=1,
-        accumulators=0,
-    )
-
-
-def size_fcu(d_in: int, d_out: int, r_in: Rate, min_h: int = 1) -> FcuAllocation:
+def size_fcu(d_in: int, d_out: int, r_in: Rate, min_h: int = 1,
+             shared_pointwise_streams: bool = False) -> FcuAllocation:
     """Pick (j, h, a) for FCUs given the input feature rate.
 
-    d_in is the flattened input width.  j_max/h_max come from r_in in lowest
-    terms; aggregation multiplies both until some divisor of d_out at least
-    min_h fits under a * h_max.
+    d_in is the unit's input width: the flattened map of a fully connected
+    layer, one pixel's channels of a pointwise conv.  j_max/h_max come from
+    r_in in lowest terms; aggregation multiplies both until some divisor of
+    d_out at least min_h fits under a * h_max.
+
+    With shared_pointwise_streams, FCUs with h = 1 time-multiplex ceil(r)
+    output channels each, halving-or-better the unit count at the price of
+    interleaved outputs; the default keeps one neuron set per FCU.
     """
     if min_h > d_out:
         raise AllocError(
@@ -170,31 +170,16 @@ def size_fcu(d_in: int, d_out: int, r_in: Rate, min_h: int = 1) -> FcuAllocation
         raise AllocError(
             f"fully connected layer with {d_in} inputs is not realisable at "
             f"j={j} inputs per cycle without padding the feature vector")
-    return FcuAllocation(j=j, h=h, a=a, n_fcu=d_out // h,
-                         c=h * d_in // j)
+    n_fcu, c = d_out // h, h * d_in // j
+    share = math.gcd(math.ceil(r_in), n_fcu) \
+        if shared_pointwise_streams and h == 1 else 1
+    return FcuAllocation(j=j, h=h, a=a, n_fcu=n_fcu // share, c=c * share)
 
 
-def alloc_pointwise(d_in: int, d_out: int, r_in: Rate, min_h: int = 1,
-                    shared_output_streams: bool = False) -> FcuAllocation:
-    """Size the FCUs of a pointwise (1x1) convolution, applied per pixel.
-
-    With shared_output_streams, FCUs with h = 1 time-multiplex ceil(r) output
-    channels each, halving-or-better the unit count at the price of
-    interleaved outputs; the default keeps one neuron set per FCU.
-    """
-    alloc = size_fcu(d_in, d_out, r_in, min_h)
-    if shared_output_streams and alloc.h == 1 and math.ceil(r_in) > 1:
-        share = math.gcd(math.ceil(r_in), alloc.n_fcu)
-        if share > 1:
-            alloc = FcuAllocation(j=alloc.j, h=alloc.h, a=alloc.a,
-                                  n_fcu=alloc.n_fcu // share,
-                                  c=alloc.c * share)
-    return alloc
-
-
-def alloc_pool(d_in: int, r_in: Rate) -> PoolAllocation:
-    return PoolAllocation(n_ppu=math.ceil(r_in),
-                          c=config_count(LayerKind.MAXPOOL, d_in, d_in, r_in))
+def _unit_inputs(ly: LayerSpec) -> int:
+    """Inputs of one FCU pass: a fully connected layer's flattened map,
+    one pixel's channels of any other layer."""
+    return ly.feature_count if ly.kind == LayerKind.FC else ly.d_in
 
 
 def worst_case_widths(plan: ArchitecturePlan, quant: QuantFormat) -> list[int]:
@@ -239,8 +224,7 @@ def plan_network(spec: NetworkSpec,
     and a 1:1 neuron-to-unit mapping.
     """
     if parallel:
-        rates = [classify_flow(ly, Fraction(ly.feature_count if ly.kind == LayerKind.FC
-                                            else ly.d_in))
+        rates = [classify_flow(ly, Fraction(_unit_inputs(ly)))
                  for ly in spec.layers]
     elif rates is None:
         rates = propagate_rates(spec)
@@ -250,22 +234,17 @@ def plan_network(spec: NetworkSpec,
     entries: list[LayerAllocation] = []
     for idx, (ly, info) in enumerate(zip(spec.layers, rates)):
         warnings: list[str] = []
-        unit: ConvAllocation | FcuAllocation | PoolAllocation | None
-        if ly.kind == LayerKind.CONV:
-            unit = alloc_conv(ly.d_in, ly.d_out, info.r_in)
+        unit: ConvAllocation | FcuAllocation | None
+        if ly.kind in (LayerKind.CONV, LayerKind.DW_CONV, LayerKind.MAXPOOL):
+            unit = alloc_conv(ly.kind, ly.d_in, ly.d_out, info.r_in)
             if unit.continuity_break:
                 warnings.append(
                     f"{spec.layer_name(idx)}: unit count rounded up; "
                     f"continuous flow breaks and output-hold registers are added")
-        elif ly.kind == LayerKind.DW_CONV:
-            unit = alloc_depthwise(ly.d_in, info.r_in)
-        elif ly.kind == LayerKind.PW_CONV:
-            unit = alloc_pointwise(ly.d_in, ly.d_out, info.r_in, min_h,
-                                   shared_pointwise_streams)
-        elif ly.kind == LayerKind.FC:
-            unit = size_fcu(ly.feature_count, ly.d_out, info.r_in, min_h)
-        elif ly.kind == LayerKind.MAXPOOL:
-            unit = alloc_pool(ly.d_in, info.r_in)
+        elif ly.kind in (LayerKind.FC, LayerKind.PW_CONV):
+            unit = size_fcu(_unit_inputs(ly), ly.d_out, info.r_in, min_h,
+                            shared_pointwise_streams
+                            and ly.kind == LayerKind.PW_CONV)
         elif ly.kind == LayerKind.RESIDUAL_ADD:
             unit = None
         else:
@@ -274,8 +253,7 @@ def plan_network(spec: NetworkSpec,
             warnings.append(
                 f"{spec.layer_name(idx)}: input rate {info.r_in} stalls the "
                 f"layer (utilization {info.utilization})")
-        elif isinstance(unit, (ConvAllocation, PoolAllocation)) \
-                and info.r_in * unit.c > ly.d_in:
+        elif isinstance(unit, ConvAllocation) and info.r_in * unit.c > ly.d_in:
             warnings.append(
                 f"{spec.layer_name(idx)}: C={unit.c} slots per position "
                 f"outrun its pace of d_in/r_in = {ly.d_in / info.r_in} "
@@ -316,14 +294,14 @@ def plan_to_dict(plan: ArchitecturePlan) -> dict:
             "configs": e.configs,
             "acc_width": e.acc_width,
         }
-        if isinstance(e.unit, ConvAllocation):
-            row.update(kpus=e.unit.n_kpu, interleave=e.unit.i,
+        if e.n_ppu:
+            row.update(ppus=e.n_ppu)
+        elif isinstance(e.unit, ConvAllocation):
+            row.update(kpus=e.n_kpu, interleave=e.unit.i,
                        accumulators=e.unit.accumulators)
         elif isinstance(e.unit, FcuAllocation):
             row.update(fcus=e.unit.n_fcu, j=e.unit.j, h=e.unit.h,
                        aggregation=e.unit.a)
-        elif isinstance(e.unit, PoolAllocation):
-            row.update(ppus=e.unit.n_ppu)
         rows.append(row)
     return {
         "layers": rows,

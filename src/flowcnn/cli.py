@@ -10,13 +10,16 @@ Commands
   trace     per-cycle table of one unit of a layer (timing-table style)
 
 Every command is deterministic given its files, flags and seed.  Exit codes:
-0 ok, 1 comparison failure, 2 bad input.
+0 ok, 1 comparison failure, 2 bad input.  A reader that closes standard
+output early ends the command quietly, with 0 unless it had already
+returned 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -29,7 +32,6 @@ from .netspec import (LayerKind, NetworkSpec, SpecError, load_network_file,
                       validate_network)
 from .oracle import (OracleError, gen_network_weights, gen_random,
                      load_tensor, ref_network, weights_from_json)
-from .rate import propagate_rates
 from .sim.engine import SimConfigError, simulate_network
 from .sim.trace import fcu_trace, kpu_trace
 from .sim.units import WidthOverflow
@@ -92,8 +94,7 @@ def _emit(args, payload: dict, text: str, csv_rows=None) -> None:
 
 def cmd_analyze(args) -> int:
     spec = _load_spec(args.spec)
-    rates = propagate_rates(spec)
-    plan = plan_network(spec, rates, min_h=args.min_h)
+    plan = plan_network(spec, min_h=args.min_h)
     headers = ["layer", "kind", "f", "k", "s", "p", "d_in", "d_out",
                "C", "r_out", "flow"]
     rows, payload = [], []
@@ -307,10 +308,8 @@ def cmd_compare(args) -> int:
     got = result.outputs[0]
     failures = []
     for t in range(trials):
-        wt = {n: {"w": e["w"][..., t],
-                  "b": None if e["b"] is None else e["b"][..., t]}
-              for n, e in stacked.items()}
-        ref = ref_network(spec, wt, x[..., t], truncate=args.truncate)
+        ref = ref_network(spec, per_trial[t], x[..., t],
+                          truncate=args.truncate)
         ok = np.array_equal(got[..., t], ref)
         print(f"trial {t}: {'ok' if ok else 'MISMATCH'}")
         if not ok:
@@ -425,15 +424,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    code = 0
     try:
-        for count in ("maps", "trials"):
-            if getattr(args, count, 1) < 1:
-                raise CliError(f"--{count} must be a positive integer")
-        return args.fn(args)
+        for name, least in (("maps", 1), ("trials", 1), ("min_h", 1),
+                            ("seed", 0)):
+            if getattr(args, name, least) < least:
+                raise CliError(f"--{name.replace('_', '-')} must be a "
+                               f"{'positive' if least else 'non-negative'} "
+                               f"integer")
+        code = args.fn(args)
+        sys.stdout.flush()   # a closed pipe shows here, not at exit
     except (CliError, SpecError, AllocError, OracleError, SimConfigError,
             WidthOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has gone: drop the unwritten output, so that the
+        # interpreter's last flush at exit has nothing to complain about
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .alloc import (ArchitecturePlan, ConvAllocation, FcuAllocation,
-                    LayerAllocation, PoolAllocation, plan_network)
+                    LayerAllocation, plan_network)
 from .netspec import LayerKind, LayerSpec, NetworkSpec
 from .rate import Flow, Rate
 
@@ -96,11 +96,12 @@ def kpu_cost(k: int, f: int, c: int) -> ResourceVector:
     )
 
 
-def accumulator_cost(d_out: int, i: int, n_kpu: int) -> ResourceVector:
-    """Cross-channel accumulation behind the KPUs of one conv layer."""
-    streams = -(-d_out // i)
+def accumulator_cost(d_out: int, accumulators: int,
+                     n_kpu: int) -> ResourceVector:
+    """Cross-channel accumulation behind the KPUs of one conv layer: each
+    of the plan's accumulators sums ceil(#KPU / d_out) KPU outputs."""
     return ResourceVector(
-        adders=streams * -(-n_kpu // d_out),
+        adders=accumulators * -(-n_kpu // d_out),
         registers=d_out,
     )
 
@@ -177,22 +178,21 @@ def layer_cost(entry: LayerAllocation, scope: CostScope,
     vec = ResourceVector(weights=ly.weight_count)
 
     if isinstance(unit, ConvAllocation):
-        vec = vec + kpu_cost(ly.k, ly.f, unit.c).scaled(unit.n_kpu)
+        unit_cost = ppu_cost if entry.n_ppu else kpu_cost
+        vec = vec + unit_cost(ly.k, ly.f, unit.c).scaled(unit.n_units)
         if unit.accumulators:
-            vec = vec + accumulator_cost(ly.d_out, unit.i, unit.n_kpu)
+            vec = vec + accumulator_cost(ly.d_out, unit.accumulators,
+                                         unit.n_units)
         if scope.include_bias and ly.has_weights:
-            if ly.kind == LayerKind.DW_CONV:
-                vec = vec + bias_cost(ly.d_out, -(-ly.d_out // unit.n_kpu))
-            else:
-                vec = vec + bias_cost(ly.d_out, unit.i)
-        # output-hold registers where the unit count was rounded up
-        vec = vec + ResourceVector(
-            registers=ly.d_out if unit.continuity_break else 0)
+            # a depthwise output stream carries the C channels of its KPU
+            vec = vec + bias_cost(ly.d_out, unit.c
+                                  if ly.kind == LayerKind.DW_CONV else unit.i)
+        if unit.continuity_break:
+            # output-hold registers where the unit count was rounded up
+            vec = vec + ResourceVector(registers=ly.d_out)
     elif isinstance(unit, FcuAllocation):
         vec = vec + fcu_cost(unit.j, unit.h, unit.c, unit.n_fcu)
         # FC/pointwise bias loads the accumulator start value; no adder
-    elif isinstance(unit, PoolAllocation):
-        vec = vec + ppu_cost(ly.k, ly.f, unit.c).scaled(unit.n_ppu)
     elif ly.kind == LayerKind.RESIDUAL_ADD:
         vec = vec + ResourceVector(adders=math.ceil(entry.rate.r_in))
 

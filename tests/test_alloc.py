@@ -1,47 +1,47 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from flowcnn.alloc import (AllocError, alloc_conv, alloc_depthwise,
-                           alloc_pointwise, alloc_pool, plan_network,
-                           size_fcu)
+from flowcnn.alloc import (AllocError, ConvAllocation, alloc_conv,
+                           plan_network, size_fcu)
 from flowcnn.cost import accumulator_cost
-from flowcnn.models import mobilenet_v1
+from flowcnn.models import mobilenet_v1, random_network, running_example
 from flowcnn.netspec import LayerKind, LayerSpec, QuantFormat, parse_network
-from flowcnn.rate import Flow, classify_flow
+from flowcnn.rate import Flow, classify_flow, config_count, interleave_count
+
+CONV, DW, POOL = LayerKind.CONV, LayerKind.DW_CONV, LayerKind.MAXPOOL
 
 
 def test_alloc_conv_interleaved():
-    a = alloc_conv(8, 16, Fraction(2))
-    assert (a.c, a.i, a.n_kpu) == (4, 1, 32)
+    a = alloc_conv(CONV, 8, 16, Fraction(2))
+    assert (a.c, a.i, a.n_units) == (4, 1, 32)
     assert a.accumulators == 16
     # each accumulator sums ceil(32 / 16) = 2 KPU outputs per cycle
-    assert accumulator_cost(16, a.i, a.n_kpu).adders == 16 * 2
+    assert accumulator_cost(16, a.accumulators, a.n_units).adders == 16 * 2
 
 
 def test_alloc_conv_low_rate_shares_kpus():
-    a = alloc_conv(8, 16, Fraction(1, 2))
-    assert (a.c, a.i, a.n_kpu) == (16, 2, 8)
+    a = alloc_conv(CONV, 8, 16, Fraction(1, 2))
+    assert (a.c, a.i, a.n_units) == (16, 2, 8)
 
 
 def test_alloc_conv_single_input_channel():
-    a = alloc_conv(1, 8, Fraction(1))
-    assert (a.c, a.i, a.n_kpu) == (1, 1, 8)
+    a = alloc_conv(CONV, 1, 8, Fraction(1))
+    assert (a.c, a.i, a.n_units) == (1, 1, 8)
     assert a.accumulators == 0  # single kernel, nothing to accumulate
 
 
 def test_alloc_conv_stall_cap():
-    a = alloc_conv(8, 16, Fraction(1, 32))
+    a = alloc_conv(CONV, 8, 16, Fraction(1, 32))
     assert a.c == 128
 
 
-def test_alloc_depthwise():
-    assert (alloc_depthwise(8, Fraction(2)).n_kpu,
-            alloc_depthwise(8, Fraction(2)).c) == (2, 4)
-    assert (alloc_depthwise(8, Fraction(8)).n_kpu,
-            alloc_depthwise(8, Fraction(8)).c) == (8, 1)
-    low = alloc_depthwise(8, Fraction(1, 2))
-    assert (low.n_kpu, low.c) == (1, 8)
+def test_alloc_conv_depthwise():
+    for r, units, c in ((Fraction(2), 2, 4), (Fraction(8), 8, 1),
+                        (Fraction(1, 2), 1, 8)):
+        a = alloc_conv(DW, 8, 8, r)
+        assert (a.n_units, a.c, a.i, a.accumulators) == (units, c, 1, 0)
 
 
 def test_size_fcu_running_example_head():
@@ -64,19 +64,62 @@ def test_size_fcu_indivisible_features():
         size_fcu(10, 4, Fraction(4))
 
 
-def test_alloc_pointwise_modes():
-    general = alloc_pointwise(8, 16, Fraction(2))
+def test_size_fcu_pointwise_modes():
+    general = size_fcu(8, 16, Fraction(2))
     assert (general.j, general.h, general.n_fcu) == (2, 1, 16)
-    shared = alloc_pointwise(8, 16, Fraction(2), shared_output_streams=True)
+    shared = size_fcu(8, 16, Fraction(2), shared_pointwise_streams=True)
     assert shared.n_fcu == 8 and shared.c == general.c * 2
-    low = alloc_pointwise(8, 16, Fraction(1, 2))
+    low = size_fcu(8, 16, Fraction(1, 2))
     assert (low.j, low.h, low.n_fcu) == (1, 2, 8)
+    # h > 1 already shares each FCU between output channels
+    deep = size_fcu(6, 16, Fraction(3, 2))
+    assert (deep.h, deep.n_fcu) == (2, 8)
+    assert size_fcu(6, 16, Fraction(3, 2), shared_pointwise_streams=True) \
+        == deep
 
 
-def test_alloc_pool():
-    assert (alloc_pool(8, Fraction(8)).n_ppu, alloc_pool(8, Fraction(8)).c) == (8, 1)
-    assert (alloc_pool(16, Fraction(4)).n_ppu, alloc_pool(16, Fraction(4)).c) == (4, 4)
-    assert (alloc_pool(4, Fraction(1)).n_ppu, alloc_pool(4, Fraction(1)).c) == (1, 4)
+def test_alloc_conv_maxpool():
+    for d, r, units, c in ((8, Fraction(8), 8, 1), (16, Fraction(4), 4, 4),
+                           (4, Fraction(1), 1, 4)):
+        a = alloc_conv(POOL, d, d, r)
+        assert (a.n_units, a.c, a.i, a.accumulators) == (units, c, 1, 0)
+
+
+def _single_rule_plans():
+    specs = [running_example()]
+    specs += [mobilenet_v1(alpha) for alpha in (0.25, 0.5, 0.75, 1.0)]
+    for spec in specs:
+        yield plan_network(spec)
+        yield plan_network(spec, parallel=True)
+    for seed in range(30):
+        yield plan_network(random_network(seed))
+
+
+def test_one_window_rule_for_every_window_layer():
+    # conv, depthwise, lowered average pool and max pool all take their
+    # units from one rule; only a max pool's units are PPUs
+    kinds = set()
+    for plan in _single_rule_plans():
+        for e in plan.layers:
+            ly, unit, r = e.layer, e.unit, e.rate.r_in
+            if ly.kind not in (CONV, DW, POOL):
+                assert not isinstance(unit, ConvAllocation)
+                continue
+            kinds.add((ly.kind, ly.constant_weights))
+            i = interleave_count(ly.kind, ly.d_out, r)
+            fan_out = math.ceil(ly.d_out / i) if ly.kind == CONV else 1
+            assert unit.n_units == math.ceil(r) * fan_out
+            assert unit.c == e.configs == config_count(ly.kind, ly.d_in,
+                                                       ly.d_out, r)
+            assert (e.n_kpu == 0) != (e.n_ppu == 0)
+            assert (e.n_ppu != 0) == (ly.kind == POOL)
+            if unit.accumulators:
+                # ceil(d_out / I) streams, each summing ceil(#KPU / d_out)
+                # KPU outputs
+                assert accumulator_cost(
+                    ly.d_out, unit.accumulators, e.n_kpu).adders \
+                    == math.ceil(ly.d_out / i) * math.ceil(e.n_kpu / ly.d_out)
+    assert kinds == {(CONV, False), (DW, False), (DW, True), (POOL, False)}
 
 
 def test_worst_case_widths(rex_spec):
@@ -127,7 +170,7 @@ def test_plan_single_layer():
     })
     plan = plan_network(spec)
     assert len(plan.layers) == 1
-    assert plan.layers[0].n_kpu == alloc_conv(2, 4, Fraction(2)).n_kpu
+    assert plan.layers[0].n_kpu == alloc_conv(CONV, 2, 4, Fraction(2)).n_units
 
 
 def test_plan_mobilenet_table_counts():
@@ -170,9 +213,9 @@ def test_work_conservation():
         layer = LayerSpec(LayerKind.CONV, 28, 7, 1, 3, d_in, d_out)
         rate = Fraction(d_in)
         while rate >= Fraction(1, d_out):
-            a = alloc_conv(d_in, d_out, rate)
-            assert a.n_kpu * a.c >= d_in * d_out
+            a = alloc_conv(CONV, d_in, d_out, rate)
+            assert a.n_units * a.c >= d_in * d_out
             stalled = classify_flow(layer, rate).flow is Flow.STALLED
             if not stalled and not a.continuity_break:
-                assert a.n_kpu * a.c == d_in * d_out
+                assert a.n_units * a.c == d_in * d_out
             rate /= 2

@@ -45,6 +45,26 @@ def test_runs_as_a_module(capsys, rex_file):
     assert out and proc.stdout == out
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_ends_quietly(rex_file, unbuffered):
+    """A reader that has gone (`flowcnn plan ... | head -3`) leaves no
+    traceback: the pipe's read end is closed before the command starts.
+    Unbuffered, the first print fails; buffered, the last flush does."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    # an empty PYTHONUNBUFFERED leaves standard output buffered
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowcnn", "plan", rex_file],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 0
+
+
 def test_analyze_json_format(capsys, rex_file):
     code, out, _ = run(capsys, "analyze", rex_file, "--format", "json")
     assert code == 0
@@ -475,6 +495,12 @@ def _bad(*argv, doc="rex_file", on=None):
     _bad("sweep", "--layer", "avgpool", "--rates", "1", doc="mbv1_file"),
     _bad("simulate", "--maps", "0"),
     _bad("compare", "--trials", "0"),
+    # random generators take non-negative seeds; an FCU at least one stage
+    _bad("simulate", "--seed", "-1"),
+    _bad("compare", "--trials", "2", "--seed", "-1"),
+    _bad("trace", "--layer", "C1", "--seed", "-1"),
+    _bad("plan", "--min-h", "0"),
+    _bad("cost", "--min-h", "-3"),
     # "@name" stands for the file the fixture `name` writes
     _bad("simulate", "--weights", "@c1_kernels_3x3"),
     _bad("simulate", "--weights", "@c2_kernels_4_out"),

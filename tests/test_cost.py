@@ -7,7 +7,8 @@ from flowcnn.cost import (SCOPE_TABLE6, SCOPE_TABLE7, SCOPE_TABLE9, ZERO,
                           ResourceVector, accumulator_cost, approx_display,
                           bias_cost, display_range, fcu_cost,
                           fully_parallel_reference_cost, interleaver_cost,
-                          kpu_cost, network_cost, ppu_cost, sweep_rates)
+                          kpu_cost, layer_cost, network_cost, ppu_cost,
+                          sweep_rates)
 from flowcnn.models import mobilenet_v1, running_example
 from flowcnn.netspec import LayerKind
 
@@ -25,9 +26,9 @@ def test_kpu_cost_cells():
 
 
 def test_accumulator_cost():
-    a = accumulator_cost(16, 1, 32)
+    a = accumulator_cost(16, 16, 32)
     assert (a.registers, a.adders) == (16, 32)
-    assert accumulator_cost(16, 1, 128).adders == 128
+    assert accumulator_cost(16, 16, 128).adders == 128
 
 
 def test_bias_cost():
@@ -35,6 +36,22 @@ def test_bias_cost():
     assert bias_cost(8, 1).adders == 8
     full = bias_cost(8, 8)
     assert (full.adders, full.mux2) == (1, 7)
+
+
+def test_depthwise_bias_streams_carry_c_channels():
+    # one bias adder per depthwise KPU, with a C:1 constant mux for the C
+    # channels it cycles through
+    cycling = 0
+    for alpha in (0.25, 1.0):
+        for e in plan_network(mobilenet_v1(alpha)).layers:
+            if e.layer.kind != LayerKind.DW_CONV or not e.layer.has_weights:
+                continue
+            cycling += e.configs > 1
+            per_kpu = -(-e.layer.d_out // e.n_kpu)
+            assert layer_cost(e, SCOPE_TABLE6, None) \
+                == layer_cost(e, SCOPE_TABLE7, None) \
+                + bias_cost(e.layer.d_out, per_kpu)
+    assert cycling
 
 
 def test_interleaver_cost():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from flowcnn.alloc import alloc_conv, plan_network
 from flowcnn.cost import kpu_cost, accumulator_cost, sweep_rates
 from flowcnn.models import random_network
-from flowcnn.netspec import parse_network, serialize_network
+from flowcnn.netspec import LayerKind, parse_network, serialize_network
 from flowcnn.oracle import (gen_network_weights, gen_random, ref_conv2d,
                             weights_to_json)
 from flowcnn.rate import output_valid, valid_output_positions
@@ -44,9 +44,9 @@ def test_register_count_invariant_under_rate(geo):
 @given(geometry)
 def test_fully_parallel_limit(geo):
     f, k, d_in, d_out = geo
-    alloc = alloc_conv(d_in, d_out, Fraction(d_in))
+    alloc = alloc_conv(LayerKind.CONV, d_in, d_out, Fraction(d_in))
     assert alloc.c == 1 and alloc.i == 1
-    assert alloc.n_kpu == d_in * d_out
+    assert alloc.n_units == d_in * d_out
     assert kpu_cost(k, f, alloc.c).mux2 == 0
 
 
@@ -56,11 +56,11 @@ def test_monotone_kpu_halving(geo):
     _, _, d_in, d_out = geo
     rate = Fraction(d_in)
     while rate / 2 >= Fraction(1, d_out) * 2:   # stay above the stall bound
-        hi = alloc_conv(d_in, d_out, rate)
-        lo = alloc_conv(d_in, d_out, rate / 2)
+        hi = alloc_conv(LayerKind.CONV, d_in, d_out, rate)
+        lo = alloc_conv(LayerKind.CONV, d_in, d_out, rate / 2)
         if hi.continuity_break or lo.continuity_break:
             return
-        assert hi.n_kpu == 2 * lo.n_kpu
+        assert hi.n_units == 2 * lo.n_units
         rate = rate / 2
 
 
@@ -154,10 +154,11 @@ def test_accumulator_scaling_linear():
     # adders (KPU trees plus accumulation) scale linearly with the KPU count
     base = None
     for r in (Fraction(8), Fraction(4), Fraction(2), Fraction(1)):
-        alloc = alloc_conv(8, 16, r)
-        total = (kpu_cost(7, 28, alloc.c).adders * alloc.n_kpu
-                 + accumulator_cost(16, alloc.i, alloc.n_kpu).adders)
-        per_kpu = Fraction(total, alloc.n_kpu)
+        alloc = alloc_conv(LayerKind.CONV, 8, 16, r)
+        total = (kpu_cost(7, 28, alloc.c).adders * alloc.n_units
+                 + accumulator_cost(16, alloc.accumulators,
+                                    alloc.n_units).adders)
+        per_kpu = Fraction(total, alloc.n_units)
         if base is None:
             base = per_kpu
         assert per_kpu == base
