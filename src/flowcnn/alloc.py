@@ -221,11 +221,12 @@ def plan_network(spec: NetworkSpec,
 
     parallel=True prices the fully parallel reference point: every layer is
     fed at r_in = d_in (the whole input per cycle), giving C = 1 everywhere
-    and a 1:1 neuron-to-unit mapping.
+    and a 1:1 neuron-to-unit mapping, so min_h does not apply to it.
     """
     if parallel:
         rates = [classify_flow(ly, Fraction(_unit_inputs(ly)))
                  for ly in spec.layers]
+        min_h = 1
     elif rates is None:
         rates = propagate_rates(spec)
     if len(rates) != len(spec.layers):

@@ -9,6 +9,13 @@ Commands
   compare   simulator vs reference inference over seeded random trials
   trace     per-cycle table of one unit of a layer (timing-table style)
 
+A per-layer command selects columns from one record per planned layer
+(`_layer_records`; `cost` joins each layer's resources onto it), and every
+command prints through `_emit`: text is a table of those columns and then
+notes, csv the same columns, json the command's document.  `simulate` and
+`compare` print notes only and take text or json.  `--min-h` does not
+affect the fully parallel point.
+
 Every command is deterministic given its files, flags and seed.  Exit codes:
 0 ok, 1 comparison failure, 2 bad input.  A reader that closes standard
 output early ends the command quietly, with 0 unless it had already
@@ -18,16 +25,19 @@ returned 1.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
 
-from .alloc import AllocError, plan_network, plan_to_dict
-from .cost import (SCOPES, CostReport, approx_display, network_cost,
-                   rate_display, sweep_rates)
+from .alloc import (AllocError, ArchitecturePlan, FcuAllocation, plan_network,
+                    plan_to_dict)
+from .cost import (SCOPES, approx_display, network_cost, rate_display,
+                   sweep_rates)
 from .netspec import (LayerKind, NetworkSpec, SpecError, load_network_file,
                       validate_network)
 from .oracle import (OracleError, gen_network_weights, gen_random,
@@ -55,8 +65,9 @@ def _parse_rates(text: str) -> list[Fraction]:
         rates = [Fraction(part) for part in text.split(",") if part]
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad rate list {text!r}: {exc}") from None
-    if any(r <= 0 for r in rates):
-        raise CliError(f"bad rate list {text!r}: rates must be positive")
+    if not rates or any(r <= 0 for r in rates):
+        raise CliError(f"bad rate list {text!r}: give one or more positive "
+                       f"rates")
     return rates
 
 
@@ -77,46 +88,83 @@ def _layer_index(spec: NetworkSpec, layer: str) -> int:
 def _table(headers: list[str], rows: list[list[str]]) -> str:
     widths = [max(map(len, col)) for col in zip(headers, *rows)]
     fmt = "  ".join(f"{{:>{w}}}" for w in widths)
-    lines = [fmt.format(*headers)]
-    lines += [fmt.format(*row) for row in rows]
-    return "\n".join(lines)
+    return "\n".join(fmt.format(*row) for row in [headers] + rows)
 
 
-def _emit(args, payload: dict, text: str, csv_rows=None) -> None:
+def _cell(value) -> str:
+    """A record value as a text or CSV cell: a flag is a mark, a rate is
+    exact or rounded."""
+    if isinstance(value, bool):
+        return "*" if value else ""
+    if isinstance(value, Fraction):
+        return rate_display(value)
+    return str(value)
+
+
+def _columns(text: str) -> list[tuple[str, str]]:
+    """(header, record key) pairs from "header header=key ..."."""
+    return [(h, key or h) for h, _, key in (c.partition("=")
+                                             for c in text.split())]
+
+
+def _json_value(value):
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _emit(args, payload, columns=(), records=(), notes=()) -> None:
+    """Print a command's output: json prints its payload; text prints the
+    (header, key) columns of its records as a table, then its notes; csv
+    prints the same columns."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "csv" and csv_rows is not None:
-        for row in csv_rows:
-            print(",".join(str(c) for c in row))
+        # trace's events keep their field order
+        print(json.dumps(payload, indent=2, default=_json_value,
+                         sort_keys=args.command != "trace"))
+        return
+    headers = [header for header, _ in columns]
+    rows = [[_cell(rec.get(key, "")) for _, key in columns] for rec in records]
+    if args.format == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows([headers] + rows)
     else:
-        print(text)
+        table = [_table(headers, rows)] if columns else []
+        print("\n".join(table + list(notes)))
+
+
+def _layer_records(plan: ArchitecturePlan) -> list[dict]:
+    """One record per planned layer: its `plan_to_dict` row with exact
+    rates, its geometry, its unit counts and the plan's units and I/j/h
+    cells."""
+    records = []
+    for entry, row in zip(plan.layers, plan_to_dict(plan)["layers"]):
+        ly, unit = entry.layer, entry.unit
+        if isinstance(unit, FcuAllocation):
+            units = f"{unit.n_fcu} FCU"
+            aggregation = f",a={unit.a}" if unit.a > 1 else ""
+            ijh = f"j={unit.j},h={unit.h}{aggregation}"
+        elif unit is None:
+            units, ijh = "-", ""
+        else:
+            units = f"{unit.n_units} {'PPU' if entry.n_ppu else 'KPU'}"
+            ijh = "" if entry.n_ppu else f"I={unit.i}"
+        records.append(dict(
+            row, f=ly.f, k=ly.k, s=ly.s, p=ly.p, d_in=ly.d_in,
+            d_out=ly.d_out, r_in=entry.rate.r_in, r_out=entry.rate.r_out,
+            utilization=entry.rate.utilization, kpu=entry.n_kpu,
+            fcu=entry.n_fcu, ppu=entry.n_ppu, units=units, ijh=ijh))
+    return records
 
 
 def cmd_analyze(args) -> int:
     spec = _load_spec(args.spec)
     plan = plan_network(spec, min_h=args.min_h)
-    headers = ["layer", "kind", "f", "k", "s", "p", "d_in", "d_out",
-               "C", "r_out", "flow"]
-    rows, payload = [], []
-    for entry in plan.layers:
-        ly = entry.layer
-        rows.append([spec.layer_name(entry.index), ly.kind.value,
-                     str(ly.f), str(ly.k), str(ly.s), str(ly.p),
-                     str(ly.d_in), str(ly.d_out), str(entry.configs),
-                     rate_display(entry.rate.r_out), entry.rate.flow.value])
-        payload.append({"layer": spec.layer_name(entry.index),
-                        "kind": ly.kind.value, "f": ly.f, "k": ly.k,
-                        "s": ly.s, "p": ly.p, "d_in": ly.d_in,
-                        "d_out": ly.d_out, "configs": entry.configs,
-                        "r_out": str(entry.rate.r_out),
-                        "flow": entry.rate.flow.value,
-                        "utilization": str(entry.rate.utilization)})
-    text = _table(headers, rows)
+    records = _layer_records(plan)
+    columns = _columns("layer kind f k s p d_in d_out C=configs r_out flow")
+    keys = [key for _, key in columns] + ["utilization"]
     warn = [str(d) for d in validate_network(spec)] + plan.warnings
-    if warn:
-        text += "\n" + "\n".join(f"! {w}" for w in warn)
-    _emit(args, {"layers": payload, "warnings": warn}, text,
-          [headers] + rows)
+    payload = {"layers": [{key: rec[key] for key in keys} for rec in records],
+               "warnings": warn}
+    _emit(args, payload, columns, records, [f"! {w}" for w in warn])
     return 0
 
 
@@ -125,48 +173,14 @@ def cmd_plan(args) -> int:
     plan = plan_network(spec, min_h=args.min_h, parallel=args.parallel,
                         shared_pointwise_streams=args.shared_pointwise)
     doc = plan_to_dict(plan)
-    headers = ["layer", "kind", "units", "C", "I/j/h", "width", "r_out"]
-    rows = []
-    for entry, row in zip(plan.layers, doc["layers"]):
-        if "kpus" in row:
-            units, extra = f"{row['kpus']} KPU", f"I={row['interleave']}"
-        elif "fcus" in row:
-            units = f"{row['fcus']} FCU"
-            extra = f"j={row['j']},h={row['h']}" + (
-                f",a={row['aggregation']}" if row["aggregation"] > 1 else "")
-        elif "ppus" in row:
-            units, extra = f"{row['ppus']} PPU", ""
-        else:
-            units, extra = "-", ""
-        rows.append([row["layer"], row["kind"], units, str(row["configs"]),
-                     extra, str(row["acc_width"]), rate_display(entry.rate.r_out)])
-    text = _table(headers, rows)
     totals = doc["totals"]
-    text += (f"\ntotals: KPU {totals['kpu']}  FCU {totals['fcu']}  "
-             f"PPU {totals['ppu']}  cycles/map {doc['cycle_budget']}")
-    if doc["warnings"]:
-        text += "\n" + "\n".join(f"! {w}" for w in doc["warnings"])
-    _emit(args, doc, text, [headers] + rows)
+    notes = [f"totals: KPU {totals['kpu']}  FCU {totals['fcu']}  "
+             f"PPU {totals['ppu']}  cycles/map {doc['cycle_budget']}"]
+    columns = _columns("layer kind units C=configs I/j/h=ijh width=acc_width "
+                       "r_out")
+    _emit(args, doc, columns, _layer_records(plan),
+          notes + [f"! {w}" for w in doc["warnings"]])
     return 0
-
-
-def _cost_rows(report: CostReport):
-    headers = ["layer", "kind", "C", "r", "weights", "add", "mul", "reg",
-               "mux2", "max", "KPU", "FCU", "PPU"]
-    rows = []
-    for r in report.rows:
-        v = r.vector
-        rows.append([r.name + ("*" if r.stalled else ""), r.kind,
-                     str(r.configs), rate_display(r.r_out), str(v.weights),
-                     str(v.adders), str(v.multipliers), str(v.registers),
-                     str(v.mux2), str(v.max_units), str(r.n_kpu),
-                     str(r.n_fcu), str(r.n_ppu)])
-    t = report.total
-    rows.append(["total", "", "", "", str(t.weights), str(t.adders),
-                 str(t.multipliers), str(t.registers), str(t.mux2),
-                 str(t.max_units), str(report.total_kpu),
-                 str(report.total_fcu), str(report.total_ppu)])
-    return headers, rows
 
 
 def cmd_cost(args) -> int:
@@ -174,26 +188,28 @@ def cmd_cost(args) -> int:
     plan = plan_network(spec, min_h=args.min_h,
                         parallel=args.scope == "parallel")
     report = network_cost(plan, SCOPES[args.scope])
-    headers, rows = _cost_rows(report)
-    text = _table(headers, rows)
+    records = [dict(rec, label=row.name + ("*" if row.stalled else ""),
+                    **asdict(row.vector))
+               for rec, row in zip(_layer_records(plan), report.rows)]
     t = report.total
-    text += (f"\nrounded totals: add {approx_display(t.adders)}  "
+    total = dict(asdict(t), kpu=report.total_kpu, fcu=report.total_fcu,
+                 ppu=report.total_ppu)
+    columns = _columns("layer=label kind C=configs r=r_out weights add=adders "
+                       "mul=multipliers reg=registers mux2 max=max_units "
+                       "KPU=kpu FCU=fcu PPU=ppu")
+    payload = {"scope": args.scope,
+               "rows": [{header: _cell(rec[key]) for header, key in columns}
+                        for rec in records],
+               "total": total, "fifo_registers": report.fifo_registers}
+    notes = [f"rounded totals: add {approx_display(t.adders)}  "
              f"mul {approx_display(t.multipliers)}  "
              f"reg {approx_display(t.registers)}  "
-             f"mux {approx_display(t.mux2)}")
+             f"mux {approx_display(t.mux2)}"]
     if report.fifo_registers:
-        text += f"\ninter-layer FIFO registers (off-row): {report.fifo_registers}"
-    payload = {
-        "scope": args.scope,
-        "rows": [dict(zip(headers, row)) for row in rows[:-1]],
-        "total": {"weights": t.weights, "adders": t.adders,
-                  "multipliers": t.multipliers, "registers": t.registers,
-                  "mux2": t.mux2, "max_units": t.max_units,
-                  "kpu": report.total_kpu, "fcu": report.total_fcu,
-                  "ppu": report.total_ppu},
-        "fifo_registers": report.fifo_registers,
-    }
-    _emit(args, payload, text, [headers] + rows)
+        notes.append(f"inter-layer FIFO registers (off-row): "
+                     f"{report.fifo_registers}")
+    _emit(args, payload, columns, records + [dict(total, label="total")],
+          notes)
     return 0
 
 
@@ -214,20 +230,13 @@ def cmd_sweep(args) -> int:
     rates = _parse_rates(args.rates)
     rows = sweep_rates(ly.f, ly.k, ly.p, ly.d_in, d_out, rates,
                        separable=separable, min_h=args.min_h, s=ly.s)
-    headers = ["r_in", "add", "mul", "reg", "mux2", "KPU", "FCU", "stall"]
-    table = []
-    for row in rows:
-        v = row.vector
-        table.append([rate_display(row.rate), str(v.adders),
-                      str(v.multipliers), str(v.registers), str(v.mux2),
-                      str(row.n_kpu), str(row.n_fcu),
-                      "*" if row.stalled else ""])
-    payload = [{"rate": str(r.rate), "adders": r.vector.adders,
-                "multipliers": r.vector.multipliers,
-                "registers": r.vector.registers, "mux2": r.vector.mux2,
-                "kpu": r.n_kpu, "fcu": r.n_fcu, "stalled": r.stalled}
-               for r in rows]
-    _emit(args, {"rows": payload}, _table(headers, table), [headers] + table)
+    records = [dict(asdict(row.vector), rate=row.rate, kpu=row.n_kpu,
+                    fcu=row.n_fcu, stalled=row.stalled) for row in rows]
+    columns = _columns("r_in=rate add=adders mul=multipliers reg=registers "
+                       "mux2 KPU=kpu FCU=fcu stall=stalled")
+    payload = {"rows": [{key: rec[key] for _, key in columns}
+                        for rec in records]}
+    _emit(args, payload, columns, records)
     return 0
 
 
@@ -266,11 +275,10 @@ def cmd_simulate(args) -> int:
         "outputs": out.reshape(-1).tolist(),
         "cycles": stats.cycles,
         "first_output_latency": stats.first_output_latency,
-        "utilization": [None if u is None else str(u)
-                        for u in stats.utilization],
+        "utilization": stats.utilization,
         "fifo_peaks": stats.fifo_peaks,
     }
-    lines = [f"outputs (last map): {out.reshape(-1).tolist()}",
+    lines = [f"outputs (last map): {payload['outputs']}",
              f"cycles: {stats.cycles}",
              f"first output latency: {stats.first_output_latency}",
              "utilization: " + " ".join(
@@ -283,7 +291,7 @@ def cmd_simulate(args) -> int:
         payload["events"] = [{"cycle": c, "signal": s, "value": v,
                               "valid": ok} for c, s, v, ok in events]
         lines += [f"{c:>6}  {s:<18} {v}" for c, s, v, ok in events]
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload, notes=lines)
     return 0
 
 
@@ -306,19 +314,15 @@ def cmd_compare(args) -> int:
                   for t in range(trials)], axis=-1)
     result = simulate_network(plan, stacked, x, truncate=args.truncate)
     got = result.outputs[0]
-    failures = []
-    for t in range(trials):
-        ref = ref_network(spec, per_trial[t], x[..., t],
-                          truncate=args.truncate)
-        ok = np.array_equal(got[..., t], ref)
-        print(f"trial {t}: {'ok' if ok else 'MISMATCH'}")
-        if not ok:
-            failures.append(t)
-    if failures:
-        print(f"{len(failures)}/{trials} trials mismatched: {failures}")
-        return 1
-    print(f"all {trials} trials bit-exact")
-    return 0
+    mismatched = [t for t in range(trials) if not np.array_equal(
+        got[..., t], ref_network(spec, per_trial[t], x[..., t],
+                                 truncate=args.truncate))]
+    notes = [f"trial {t}: {'MISMATCH' if t in mismatched else 'ok'}"
+             for t in range(trials)]
+    notes.append(f"{len(mismatched)}/{trials} trials mismatched: {mismatched}"
+                 if mismatched else f"all {trials} trials bit-exact")
+    _emit(args, {"trials": trials, "mismatched": mismatched}, notes=notes)
+    return 1 if mismatched else 0
 
 
 def cmd_trace(args) -> int:
@@ -343,12 +347,10 @@ def cmd_trace(args) -> int:
         trace = kpu_trace(ly.f, ly.k, ly.p, w, maps, s=ly.s)
     else:
         raise CliError(f"trace supports conv and fc layers, not {ly.kind.value}")
-    if args.format == "json":
-        print(json.dumps(trace.to_events(), indent=2))
-    else:
-        print(_table(["t"] + trace.columns,
-                     [[str(row.cycle)] + [row.cell(c) for c in trace.columns]
-                      for row in trace.rows]))
+    columns = [(name, name) for name in ["t"] + trace.columns]
+    records = [dict({name: row.cell(name) for name in trace.columns},
+                    t=row.cycle) for row in trace.rows]
+    _emit(args, trace.to_events(), columns, records)
     return 0
 
 
@@ -359,44 +361,40 @@ def build_parser() -> argparse.ArgumentParser:
                     "continuous-flow CNN architectures")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeded=False):
+    def command(name, fn, help, seeded=False,
+                formats=("text", "json", "csv")):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
         p.add_argument("spec", help="network document (JSON)")
         p.add_argument("--min-h", type=int, default=1,
-                       help="minimum FCU pipeline depth (drives aggregation)")
-        p.add_argument("--format", choices=["text", "json", "csv"],
-                       default="text")
+                       help="minimum FCU pipeline depth (drives aggregation; "
+                            "the fully parallel point ignores it)")
+        p.add_argument("--format", choices=formats, default="text")
         if seeded:
             p.add_argument("--seed", type=int, default=0)
+        return p
 
-    p = sub.add_parser("analyze", help="rates, configurations, stalls")
-    common(p)
-    p.set_defaults(fn=cmd_analyze)
+    command("analyze", cmd_analyze, "rates, configurations, stalls")
 
-    p = sub.add_parser("plan", help="unit allocation")
-    common(p)
+    p = command("plan", cmd_plan, "unit allocation")
     p.add_argument("--parallel", action="store_true",
                    help="fully parallel reference point (r_in = d_in)")
     p.add_argument("--shared-pointwise", action="store_true",
                    help="let pointwise FCUs with h=1 time-multiplex ceil(r) "
                         "output channels (fewer units, interleaved outputs)")
-    p.set_defaults(fn=cmd_plan)
 
-    p = sub.add_parser("cost", help="closed-form resource table")
-    common(p)
+    p = command("cost", cmd_cost, "closed-form resource table")
     p.add_argument("--scope", choices=sorted(SCOPES), default="table6")
-    p.set_defaults(fn=cmd_cost)
 
-    p = sub.add_parser("sweep", help="one layer across data rates")
-    common(p)
+    p = command("sweep", cmd_sweep, "one layer across data rates")
     p.add_argument("--layer", required=True, help="layer index or name")
     p.add_argument("--rates", required=True,
                    help="comma-separated exact rates, e.g. 8,4,2,1,1/2")
     p.add_argument("--separable", action="store_true",
                    help="treat the layer as depthwise-separable")
-    p.set_defaults(fn=cmd_sweep)
 
-    p = sub.add_parser("simulate", help="cycle-accurate run")
-    common(p, seeded=True)
+    p = command("simulate", cmd_simulate, "cycle-accurate run", seeded=True,
+                formats=("text", "json"))
     p.add_argument("--weights", help="weights JSON file")
     p.add_argument("--input", help="input tensor fixture")
     p.add_argument("--maps", type=int, default=1,
@@ -404,20 +402,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truncate", action="store_true",
                    help="wrap activations to their quantized width per layer")
     p.add_argument("--trace", help="comma-separated signal substrings to log")
-    p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("compare", help="simulator vs reference inference")
-    common(p, seeded=True)
+    p = command("compare", cmd_compare, "simulator vs reference inference",
+                seeded=True, formats=("text", "json"))
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--truncate", action="store_true")
-    p.set_defaults(fn=cmd_compare)
 
-    p = sub.add_parser("trace", help="per-cycle table of one unit")
-    common(p, seeded=True)
+    p = command("trace", cmd_trace, "per-cycle table of one unit",
+                seeded=True)
     p.add_argument("--layer", required=True, help="layer index or name")
     p.add_argument("--maps", type=int, default=1)
     p.add_argument("--zero", action="store_true", help="zero weights")
-    p.set_defaults(fn=cmd_trace)
     return parser
 
 

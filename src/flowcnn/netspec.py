@@ -250,6 +250,8 @@ def _lower_raw_layer(raw: dict, idx: int, f: int, d_in: int) -> list[LayerSpec]:
     if kind == LayerKind.DW_SEPARABLE:
         dw = LayerSpec(LayerKind.DW_CONV, f, k, s, p, d_in, d_in,
                        name=f"{name}.dw" if name else "")
+        if dw.f_out < 1:
+            return [dw]   # its window does not fit: nothing chains after it
         pw = LayerSpec(LayerKind.PW_CONV, dw.f_out, 1, 1, 0, d_in, d_out,
                        name=f"{name}.pw" if name else "", internal_input=True)
         return [dw, pw]
@@ -318,6 +320,8 @@ def parse_network(document: str | dict) -> NetworkSpec:
         layers.extend(lowered)
         doc_to_lowered[idx] = len(layers) - 1
         f, d = lowered[-1].f_out, lowered[-1].d_out
+        if f < 1:
+            break   # the window does not fit, which validation reports
 
     spec = NetworkSpec(layers, (height, width, channels), rate, quant)
     errors = [d for d in validate_network(spec) if d.severity == "error"]

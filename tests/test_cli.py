@@ -214,6 +214,29 @@ def test_compare_detects_divergence(capsys, tmp_path, rex_file, monkeypatch):
     code, out, _ = run(capsys, "compare", rex_file, "--trials", "2")
     assert code == 1
     assert "MISMATCH" in out
+    code, out, _ = run(capsys, "compare", rex_file, "--trials", "2",
+                       "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {"trials": 2, "mismatched": [0, 1]}
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_notes_only_commands_offer_no_csv(capsys, rex_file, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, rex_file, "--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["plan", "--parallel"],
+                                  ["cost", "--scope", "parallel"]])
+def test_parallel_point_ignores_min_h(capsys, rex_file, argv):
+    """The fully parallel point has one neuron per FCU whatever the
+    pipeline depth asked of the pipelined plan."""
+    code, out, _ = run(capsys, argv[0], rex_file, *argv[1:])
+    assert code == 0
+    assert run(capsys, argv[0], rex_file, *argv[1:], "--min-h", "4") == \
+        (0, out, "")
 
 
 @pytest.fixture()
@@ -440,6 +463,25 @@ def f_true(tmp_path):
         "layers": [{"kind": "fc", "f": True, "d_out": 2}]})
 
 
+def _oversized_window_doc(first):
+    """A 2x2 map whose `first` layer's window does not fit, then fc."""
+    return {"input": {"height": 2, "width": 2, "channels": 1},
+            "layers": [first, {"kind": "fc", "d_out": 4}]}
+
+
+@pytest.fixture()
+def pool_beyond_map(tmp_path):
+    # the pool's f_out is 0: the fc layer would be lowered with k = s = 0
+    return _doc_file(tmp_path, _oversized_window_doc({"kind": "maxpool",
+                                                      "k": 3}))
+
+
+@pytest.fixture()
+def conv_beyond_map(tmp_path):
+    return _doc_file(tmp_path, _oversized_window_doc({"kind": "conv", "k": 3,
+                                                      "d_out": 2}))
+
+
 def _slow_conv_doc(rate):
     """A 5x5 conv on a 24x24x1 map fed at `rate`."""
     return {"input": {"height": 24, "width": 24, "channels": 1,
@@ -488,6 +530,7 @@ def _bad(*argv, doc="rex_file", on=None):
     _bad("trace", "--layer", "-1"),
     _bad("sweep", "--layer", "C1", "--rates", "0"),
     _bad("sweep", "--layer", "C1", "--rates", "-1"),
+    _bad("sweep", "--layer", "C2", "--rates", ","),
     # only a conv or a depthwise stage with its pointwise partner sweeps:
     # not a pool, a fully connected layer or an unpaired depthwise layer
     _bad("sweep", "--layer", "P1", "--rates", "8"),
@@ -536,6 +579,9 @@ def _bad(*argv, doc="rex_file", on=None):
     _bad("plan", doc="internal_input_on_conv",
          on='"internal_input": true on a conv'),
     _bad("plan", doc="f_true", on='"f": true'),
+    # a window larger than its map, followed by a fully connected layer
+    _bad("plan", doc="pool_beyond_map", on="maxpool k=3 on 2x2, then fc"),
+    _bad("plan", doc="conv_beyond_map", on="conv k=3 on 2x2, then fc"),
     # cycle stamps that would wrap in int64
     _bad("simulate", doc="input_stamps_wrap", on="input rate 1/10**17"),
     _bad("simulate", doc="input_rate_beyond_int64", on="input rate 1/10**19"),

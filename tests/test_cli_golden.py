@@ -8,6 +8,7 @@ argument after the command names a shipped document and is resolved with
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -59,9 +60,11 @@ def cases() -> list[list[str]]:
     out.append(["simulate", "sweep_separable.json", "--trace", "sweep",
                 "--format", "json"])
     out.append(["compare", rex, "--trials", "3"])
-    for fmt in ("text", "json"):
+    out.append(["compare", rex, "--trials", "3", "--format", "json"])
+    for fmt in FORMATS:
         out.append(["trace", rex, "--layer", "C1", "--zero", "--format", fmt])
         out.append(["trace", rex, "--layer", "F1", "--format", fmt])
+    for fmt in ("text", "json"):
         out.append(["trace", rex, "--layer", "F1", "--min-h", "10",
                     "--format", fmt])
         # stream positions decoded across map seams
@@ -73,12 +76,16 @@ def cases() -> list[list[str]]:
     return out
 
 
-def stdout_sha256(argv: list[str]) -> str:
+def stdout_of(argv: list[str]) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main([argv[0], data_path(argv[1])] + argv[2:])
     assert code == 0, argv
-    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return buf.getvalue()
+
+
+def stdout_sha256(argv: list[str]) -> str:
+    return hashlib.sha256(stdout_of(argv).encode()).hexdigest()
 
 
 def _load() -> dict[str, str]:
@@ -88,6 +95,13 @@ def _load() -> dict[str, str]:
 @pytest.mark.parametrize("argv", cases(), ids=" ".join)
 def test_cli_output_unchanged(argv):
     assert stdout_sha256(argv) == _load()[" ".join(argv)]
+
+
+@pytest.mark.parametrize(
+    "argv", [a for a in cases() if a[-2:] == ["--format", "csv"]], ids=" ".join)
+def test_csv_rows_as_wide_as_header(argv):
+    rows = list(csv.reader(io.StringIO(stdout_of(argv))))
+    assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
 
 
 def test_golden_table_covers_cases():
