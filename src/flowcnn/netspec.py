@@ -12,11 +12,18 @@ The network document is a JSON object:
       ]
     }
 
-``rate`` strings are exact fractions ("4/9"); when omitted the input rate
-defaults to the channel count (one full pixel per clock cycle).  Feature maps
-are square.  Channel counts chain layer to layer, so layers only declare
-``d_out``; ``f`` may be given redundantly and is then checked against the
-chain.
+``DOCUMENT_FIELDS``, ``INPUT_FIELDS``, ``QUANT_FIELDS`` and
+``LAYER_FIELDS[kind]`` (a row also takes ``kind``, ``name`` and ``f``) map
+each field of an object to its default: None if required, or another
+field's name to default to its value (a pool's ``s`` to ``k``, ``d_out`` to
+``d_in``, ``rate`` to ``channels``: one pixel per cycle).  A row states a
+``FIXED[kind]`` field only at its default.  Integers lie in [1, MAX_INT],
+``p`` and ``residual_source`` from 0.  One reader checks every object and
+rejects a key its table lacks; ``serialize_network`` writes the same table.
+
+``rate`` strings are exact fractions ("4/9").  Feature maps are square.
+Channel counts chain layer to layer, so layers only declare ``d_out``; a
+declared ``f`` is checked against the chain.
 
 Parsing lowers composite layers before any analysis:
 
@@ -60,21 +67,49 @@ class LayerKind(str, Enum):
     RESIDUAL_ADD = "residual_add"
 
 
-# Kinds that survive lowering.  DW_SEPARABLE and AVGPOOL never appear in a
-# parsed NetworkSpec.
-LOWERED_KINDS = {
-    LayerKind.CONV,
-    LayerKind.DW_CONV,
-    LayerKind.PW_CONV,
-    LayerKind.MAXPOOL,
-    LayerKind.FC,
-    LayerKind.RESIDUAL_ADD,
+# The largest integer a document may give: MobileNetV1's 224 px and 1,024
+# channels fit with room to spare, and loops over divisors of d_out stay short
+MAX_INT = 2 ** 16
+
+DOCUMENT_FIELDS = {"input": None, "quant": {}, "layers": None}
+INPUT_FIELDS = {"height": None, "width": None, "channels": None,
+                "rate": "channels"}
+QUANT_FIELDS = {"weight_bits": 8, "activation_bits": 8}
+LAYER_FIELDS = {
+    LayerKind.CONV: {"k": None, "s": 1, "p": 0, "d_out": None},
+    LayerKind.DW_SEPARABLE: {"k": None, "s": 1, "p": 0, "d_out": None},
+    LayerKind.DW_CONV: {"k": None, "s": 1, "p": 0, "d_out": "d_in"},
+    LayerKind.PW_CONV: {"k": 1, "s": 1, "p": 0, "d_out": None,
+                        "internal_input": False},
+    LayerKind.MAXPOOL: {"k": None, "s": "k", "p": 0, "d_out": "d_in"},
+    LayerKind.AVGPOOL: {"k": None, "s": "k", "p": 0, "d_out": "d_in"},
+    LayerKind.FC: {"d_out": None},
+    LayerKind.RESIDUAL_ADD: {"k": 1, "s": 1, "p": 0, "d_out": "d_in",
+                             "residual_source": None},
 }
+# Fields the lowering fixes at their default (only full depthwise grouping,
+# g = d_in, is supported)
+FIXED = {LayerKind.DW_CONV: ("d_out",), LayerKind.PW_CONV: ("k", "s", "p"),
+         LayerKind.MAXPOOL: ("p", "d_out"), LayerKind.AVGPOOL: ("d_out",),
+         LayerKind.RESIDUAL_ADD: ("k", "s", "p", "d_out")}
+# JSON types other than integer, and integer minimums other than 1
+_TYPES = {"kind": (str,), "name": (str,), "rate": (str, int),
+          "internal_input": (bool,), "input": (dict,), "quant": (dict,),
+          "layers": (list,)}
+_MINIMUM = {"p": 0, "residual_source": 0}
 
 
-# The keys a document layer may carry
-DOCUMENT_KEYS = {"kind", "name", "f", "k", "s", "p", "d_out",
-                 "residual_source", "internal_input"}
+def _table(fields: dict, fixed=()) -> dict:
+    """Resolve a field table once: field -> (types, default, min, fixed)."""
+    return {key: (_TYPES.get(key, (int,)), default, _MINIMUM.get(key, 1),
+                  key in fixed) for key, default in fields.items()}
+
+
+_DOCUMENT, _INPUT, _QUANT = map(_table, (DOCUMENT_FIELDS, INPUT_FIELDS,
+                                       QUANT_FIELDS))
+_LAYER = {kind: _table({"kind": None, "f": "f", **fields, "name": ""},
+                       FIXED.get(kind, ()))
+          for kind, fields in LAYER_FIELDS.items()}
 
 
 @dataclass(frozen=True)
@@ -182,71 +217,60 @@ class Diagnostic:
         return f"{self.severity}: {where}: {self.message}"
 
 
-def _require(obj: dict, key: str, path: str, types, default=None) -> object:
-    if key not in obj:
-        if default is not None:
-            return default
-        raise SchemaError(f"{path}: missing key {key!r}")
-    val = obj[key]
-    # JSON true and false are Python ints too; only a bool field takes them
-    if not isinstance(val, types) or isinstance(val, bool) != (types is bool):
-        raise SchemaError(f"{path}.{key}: expected {types}, got {type(val).__name__}")
-    return val
+def _read(obj, table: dict, path: str, known: dict, hint: str = "") -> dict:
+    """Read the JSON object `obj` at `path` against a resolved field table;
+    returns every field's value, defaults filled in.  A default that names a
+    field takes its value, read earlier or given in `known`."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{path}: expected an object")
+    if not table.keys() >= obj.keys():
+        key = next(key for key in obj if key not in table)
+        raise SchemaError(f"{path}.{key}: unknown key{hint}")
+    values = dict(known)
+    for key, (types, default, minimum, fixed) in table.items():
+        if type(default) is str:   # a field name, or the empty layer name
+            default = values.get(default, default)
+        if key not in obj:
+            if default is None:
+                raise SchemaError(f"{path}: missing key {key!r}")
+            values[key] = default
+            continue
+        val = values[key] = obj[key]
+        # exact JSON types: true and false are not integers
+        if type(val) not in types:
+            raise SchemaError(f"{path}.{key}: expected "
+                              f"{' or '.join(t.__name__ for t in types)}, "
+                              f"got {type(val).__name__}")
+        if type(val) is int and not minimum <= val <= MAX_INT:
+            raise SchemaError(f"{path}.{key}: must be in [{minimum}, "
+                              f"{MAX_INT}], got {val}")
+        if fixed and val != default:
+            raise SchemaError(f"{path}.{key}: the lowering fixes it at "
+                              f"{default}, got {val}")
+    return values
 
 
-def _positive(obj: dict, key: str, path: str, default=None, minimum=1) -> int:
-    val = _require(obj, key, path, int, default)
-    if val < minimum:
-        raise SchemaError(f"{path}.{key}: must be >= {minimum}, got {val}")
-    return val
-
-
-def _lower_raw_layer(raw: dict, idx: int, f: int, d_in: int) -> list[LayerSpec]:
-    """Turn one document layer into its lowered LayerSpec run."""
+def _lower_row(raw, idx: int, f: int, d_in: int) -> list[LayerSpec]:
+    """Read one document layer and turn it into its lowered LayerSpec run."""
     path = f"layers[{idx}]"
-    kind_text = _require(raw, "kind", path, str)
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{path}: expected an object")
+    if "kind" not in raw:
+        raise SchemaError(f"{path}: missing key 'kind'")
     try:
-        kind = LayerKind(kind_text)
+        kind = LayerKind(raw["kind"])
     except ValueError:
-        raise SchemaError(f"{path}.kind: unknown kind {kind_text!r}") from None
-    name = _require(raw, "name", path, str, "")
-    internal = _require(raw, "internal_input", path, bool, False)
-    if "internal_input" in raw and kind != LayerKind.PW_CONV:
-        raise SchemaError(f"{path}.internal_input: only a pw_conv row "
-                          f"takes it")
-    unknown = [key for key in raw if key not in DOCUMENT_KEYS]
-    if unknown:
-        hint = "; write an average pool as kind 'avgpool'" \
-            if kind == LayerKind.DW_CONV else ""
-        raise SchemaError(f"{path}.{unknown[0]}: unknown key{hint}")
-
-    if kind in (LayerKind.MAXPOOL, LayerKind.AVGPOOL):
-        k = _positive(raw, "k", path)
-        s = _positive(raw, "s", path, default=k)
-        p = _positive(raw, "p", path, default=0, minimum=0)
-        d_out = _positive(raw, "d_out", path, default=d_in)
-        if kind == LayerKind.AVGPOOL:
-            # constant 1/(k*k) weights, realised as unit weights + floor shift
-            return [LayerSpec(LayerKind.DW_CONV, f, k, s, p, d_in, d_out,
-                              name=name, constant_weights=True)]
-        return [LayerSpec(kind, f, k, s, p, d_in, d_out, name=name)]
-
-    if kind == LayerKind.FC:
-        d_out = _positive(raw, "d_out", path)
-        return [LayerSpec(kind, f, f, f, 0, d_in, d_out, name=name)]
-
-    if kind == LayerKind.RESIDUAL_ADD:
-        src = _require(raw, "residual_source", path, int)
-        d_out = _positive(raw, "d_out", path, default=d_in)
-        return [LayerSpec(kind, f, 1, 1, 0, d_in, d_out, name=name,
-                          residual_source=src)]
-
-    k = _positive(raw, "k", path, default=1 if kind == LayerKind.PW_CONV else None)
-    s = _positive(raw, "s", path, default=1)
-    p = _positive(raw, "p", path, default=0, minimum=0)
-    d_out = _positive(raw, "d_out", path,
-                      default=d_in if kind == LayerKind.DW_CONV else None)
-
+        raise SchemaError(f"{path}.kind: unknown kind {raw['kind']!r}") from None
+    hint = "; write an average pool as kind 'avgpool'" \
+        if kind == LayerKind.DW_CONV else ""
+    row = _read(raw, _LAYER[kind], path, {"f": f, "d_in": d_in}, hint)
+    if row["f"] != f:
+        raise ValidationError(
+            f"{path}: declared f={row['f']} but the chain from layer "
+            f"{idx - 1} gives f={f}")
+    name, d_out = row["name"], row["d_out"]
+    k, s, p = (f, f, 0) if kind == LayerKind.FC else (row["k"], row["s"],
+                                                      row["p"])
     if kind == LayerKind.DW_SEPARABLE:
         dw = LayerSpec(LayerKind.DW_CONV, f, k, s, p, d_in, d_in,
                        name=f"{name}.dw" if name else "")
@@ -255,10 +279,12 @@ def _lower_raw_layer(raw: dict, idx: int, f: int, d_in: int) -> list[LayerSpec]:
         pw = LayerSpec(LayerKind.PW_CONV, dw.f_out, 1, 1, 0, d_in, d_out,
                        name=f"{name}.pw" if name else "", internal_input=True)
         return [dw, pw]
-    if kind == LayerKind.PW_CONV:
-        return [LayerSpec(kind, f, 1, 1, 0, d_in, d_out, name=name,
-                          internal_input=internal)]
-    return [LayerSpec(kind, f, k, s, p, d_in, d_out, name=name)]
+    # an average pool's 1/(k*k) weights: unit weights, then a floor shift
+    avg = kind == LayerKind.AVGPOOL
+    return [LayerSpec(LayerKind.DW_CONV if avg else kind, f, k, s, p, d_in,
+                      d_out, residual_source=row.get("residual_source"),
+                      name=name, constant_weights=avg,
+                      internal_input=row.get("internal_input", False))]
 
 
 def parse_network(document: str | dict) -> NetworkSpec:
@@ -272,46 +298,25 @@ def parse_network(document: str | dict) -> NetworkSpec:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"not valid JSON: {exc}") from None
-    if not isinstance(document, dict):
-        raise SchemaError("top level: expected an object")
-
-    inp = _require(document, "input", "$", dict)
-    height = _positive(inp, "height", "input")
-    width = _positive(inp, "width", "input")
-    channels = _positive(inp, "channels", "input")
+    top = _read(document, _DOCUMENT, "$", {})
+    inp = _read(top["input"], _INPUT, "input", {})
+    height, width, channels = inp["height"], inp["width"], inp["channels"]
     if height != width:
         raise SchemaError("input: feature maps must be square (height == width)")
-    rate_text = _require(inp, "rate", "input", (str, int), channels)
     try:
-        rate = Fraction(rate_text)
+        rate = Fraction(inp["rate"])
     except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad rate {rate_text!r}: {exc}") from None
+        raise SchemaError(f"bad rate {inp['rate']!r}: {exc}") from None
+    quant = QuantFormat(**_read(top["quant"], _QUANT, "quant", {}))
 
-    quant_doc = document.get("quant", {})
-    if not isinstance(quant_doc, dict):
-        raise SchemaError("quant: expected an object")
-    quant = QuantFormat(
-        weight_bits=_positive(quant_doc, "weight_bits", "quant", default=8),
-        activation_bits=_positive(quant_doc, "activation_bits", "quant", default=8),
-    )
-
-    raw_layers = _require(document, "layers", "$", list)
-    if not raw_layers:
+    if not top["layers"]:
         raise ValidationError("layers: network has no layers")
-
     layers: list[LayerSpec] = []
     doc_to_lowered: dict[int, int] = {}
     f, d = height, channels
-    for idx, raw in enumerate(raw_layers):
-        if not isinstance(raw, dict):
-            raise SchemaError(f"layers[{idx}]: expected an object")
-        if "f" in raw and _require(raw, "f", f"layers[{idx}]", int) != f:
-            raise ValidationError(
-                f"layers[{idx}]: declared f={raw['f']} but the chain from "
-                f"layer {idx - 1} gives f={f}")
-        lowered = _lower_raw_layer(raw, idx, f, d)
-        if lowered[0].residual_source is not None:
-            src = lowered[0].residual_source
+    for idx, raw in enumerate(top["layers"]):
+        lowered = _lower_row(raw, idx, f, d)
+        if (src := lowered[0].residual_source) is not None:
             if src not in doc_to_lowered:
                 raise ValidationError(
                     f"layers[{idx}]: residual_source {src} does not name an "
@@ -355,7 +360,7 @@ def validate_network(spec: NetworkSpec) -> list[Diagnostic]:
         name = spec.layer_name(i)
         if first_named.setdefault(name, i) != i:
             err(i, f"name {name!r} already names layer {first_named[name]}")
-        if ly.kind not in LOWERED_KINDS:
+        if ly.kind in (LayerKind.DW_SEPARABLE, LayerKind.AVGPOOL):
             err(i, f"kind {ly.kind.value} must be lowered before analysis")
             continue
         if ly.f != f or ly.d_in != d:
@@ -369,18 +374,14 @@ def validate_network(spec: NetworkSpec) -> list[Diagnostic]:
             # windows anchored in the map would leave the pixel stream
             err(i, f"padding p={ly.p} exceeds (k-1)/2; over-padded windows "
                    f"cannot anchor in the stream")
-        if ly.kind == LayerKind.MAXPOOL:
-            if ly.s > ly.k:
-                err(i, f"pooling stride s={ly.s} exceeds window k={ly.k}")
-            if ly.d_out != ly.d_in:
-                err(i, f"pooling preserves channels: d_in={ly.d_in} != "
-                       f"d_out={ly.d_out}")
-            if ly.p != 0:
-                err(i, "pooling layers do not support padding")
-        if ly.kind == LayerKind.DW_CONV and ly.d_out != ly.d_in:
-            # only full depthwise grouping (g = d_in) is supported
-            err(i, f"depthwise conv requires d_out == d_in, got "
-                   f"{ly.d_out} != {ly.d_in}")
+        if ly.kind == LayerKind.MAXPOOL and ly.s > ly.k:
+            err(i, f"pooling stride s={ly.s} exceeds window k={ly.k}")
+        for key in FIXED.get(ly.kind, ()):
+            want = LAYER_FIELDS[ly.kind][key]
+            want = getattr(ly, want) if type(want) is str else want
+            if getattr(ly, key) != want:
+                err(i, f"{ly.kind.value} takes {key}={want} only, got "
+                       f"{key}={getattr(ly, key)}")
         if ly.kind == LayerKind.CONV and ly.s == 1 and ly.p != (ly.k - 1) // 2:
             warn(i, f"output is not continuous without padding "
                     f"p=(k-1)/2={(ly.k - 1) // 2} (got p={ly.p})")
@@ -402,28 +403,23 @@ def validate_network(spec: NetworkSpec) -> list[Diagnostic]:
 
 def serialize_network(spec: NetworkSpec) -> dict:
     """Emit the lowered document form, one row per lowered layer, with f
-    declared; parse(serialize(s)) == s.  A lowered average pool is written
-    back as its `avgpool` row, which parsing lowers again."""
+    declared; parse(serialize(s)) == s.  Each row holds its kind's table
+    fields, a flag only when set.  A lowered average pool is written back
+    as its `avgpool` row, which parsing lowers again."""
     layers = []
     for ly in spec.layers:
         kind = LayerKind.AVGPOOL if ly.constant_weights else ly.kind
-        row: dict = {"kind": kind.value, "f": ly.f, "k": ly.k,
-                     "s": ly.s, "p": ly.p, "d_out": ly.d_out}
-        if ly.kind == LayerKind.FC:
-            row = {"kind": ly.kind.value, "f": ly.f, "d_out": ly.d_out}
-        if ly.kind == LayerKind.RESIDUAL_ADD:
-            row["residual_source"] = ly.residual_source
-        if ly.internal_input:
-            row["internal_input"] = True
+        row: dict = {"kind": kind.value, "f": ly.f}
+        for key in LAYER_FIELDS[kind]:
+            if getattr(ly, key) is not False:
+                row[key] = getattr(ly, key)
         if ly.name:
             row["name"] = ly.name
         layers.append(row)
-    h, w, c = spec.input_shape
     return {
-        "input": {"height": h, "width": w, "channels": c,
-                  "rate": str(spec.input_rate)},
-        "quant": {"weight_bits": spec.quant.weight_bits,
-                  "activation_bits": spec.quant.activation_bits},
+        "input": dict(zip(INPUT_FIELDS, (*spec.input_shape,
+                                         str(spec.input_rate)))),
+        "quant": {key: getattr(spec.quant, key) for key in QUANT_FIELDS},
         "layers": layers,
     }
 

@@ -1,6 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from flowcnn.models import data_path, running_example
+
+# Property tests draw the same examples on every run, so that a tier-1
+# result can be repeated; `--hypothesis-profile=long` searches wider
+settings.register_profile("default", derandomize=True, deadline=None)
+settings.register_profile("long", settings.get_profile("default"),
+                          max_examples=2000)
+settings.load_profile("default")
 
 
 @pytest.fixture(scope="session")

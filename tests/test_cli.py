@@ -596,3 +596,38 @@ def test_bad_input_exits_2(capsys, request, doc, argv):
     code, out, err = run(capsys, argv[0], path, *args)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+# Running-example edits that ran at exit 0 although a field was dropped,
+# unchecked or unbounded, and the field that the error names
+DOCUMENT_MISTAKES = {
+    # the stride was dropped: the pointwise layer ran at stride 1
+    "pw_conv s=2": ("layers[1].s", lambda d: d["layers"].insert(
+        1, {"kind": "pw_conv", "s": 2, "d_out": 8})),
+    "fc k=3": ("layers[4].k", lambda d: d["layers"][-1].update(k=3)),
+    "conv residual_source": ("layers[0].residual_source",
+                             lambda d: d["layers"][0].update(
+                                 residual_source=0)),
+    # the merge was planned on 7 channels of an 8-channel map
+    "residual_add d_out=7": ("layers[1].d_out", lambda d: d["layers"].insert(
+        1, {"kind": "residual_add", "residual_source": 0, "d_out": 7})),
+    "input typo": ("input.rte", lambda d: d["input"].update(rte="1/2")),
+    "quant typo": ("quant.weight_bit",
+                   lambda d: d["quant"].update(weight_bit=4)),
+    "top-level typo": ("$.qaunt", lambda d: d.update(qaunt={})),
+    # planned at 5 * 10**20 KPUs; compare died in numpy with exit 1
+    "d_out=10**20": ("layers[0].d_out",
+                     lambda d: d["layers"][0].update(d_out=10 ** 20)),
+}
+
+
+@pytest.mark.parametrize("argv", [["plan"], ["compare", "--trials", "1"]],
+                         ids=["plan", "compare"])
+@pytest.mark.parametrize("field, edit", DOCUMENT_MISTAKES.values(),
+                         ids=DOCUMENT_MISTAKES.keys())
+def test_document_mistakes_exit_2(capsys, tmp_path, field, edit, argv):
+    code, out, err = run(capsys, argv[0], _rex_edited(tmp_path, edit),
+                         *argv[1:])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f": {field}: " in err

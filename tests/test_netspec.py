@@ -1,10 +1,13 @@
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
+from flowcnn.alloc import plan_network
 from flowcnn.models import data_path, mobilenet_v1
-from flowcnn.netspec import (LayerKind, SchemaError, ValidationError,
+from flowcnn.netspec import (MAX_INT, LayerKind, LayerSpec, NetworkSpec,
+                             SchemaError, ValidationError,
                              parse_network, serialize_network,
                              validate_network)
 
@@ -80,13 +83,21 @@ def test_parse_serialize_roundtrip(rex_spec):
     assert parse_network(serialize_network(spec)) == spec
 
 
+def _errors(*layers, f=8, c=8):
+    """validate_network's error messages on layers built in code."""
+    spec = NetworkSpec(list(layers), (f, f, c), Fraction(1))
+    return [d.message for d in validate_network(spec) if d.severity == "error"]
+
+
 def test_pool_channel_mismatch_is_error():
     doc = {
         "input": {"height": 8, "width": 8, "channels": 8},
         "layers": [{"kind": "maxpool", "k": 2, "s": 2, "d_out": 16}],
     }
-    with pytest.raises(ValidationError, match="pooling preserves channels"):
+    with pytest.raises(SchemaError, match=r"layers\[0\]\.d_out: .* 8, got 16"):
         parse_network(doc)
+    assert _errors(LayerSpec(LayerKind.MAXPOOL, 8, 2, 2, 0, 8, 16)) == [
+        "maxpool takes d_out=8 only, got d_out=16"]
 
 
 def test_padding_warning():
@@ -107,8 +118,25 @@ def test_depthwise_group_restriction():
         "input": {"height": 8, "width": 8, "channels": 8},
         "layers": [{"kind": "dw_conv", "k": 3, "s": 1, "p": 1, "d_out": 4}],
     }
-    with pytest.raises(ValidationError, match="d_out == d_in"):
+    with pytest.raises(SchemaError, match=r"layers\[0\]\.d_out: .* 8, got 4"):
         parse_network(doc)
+    assert _errors(LayerSpec(LayerKind.DW_CONV, 8, 3, 1, 1, 8, 4)) == [
+        "dw_conv takes d_out=8 only, got d_out=4"]
+
+
+@pytest.mark.parametrize("layer, message", [
+    (LayerSpec(LayerKind.MAXPOOL, 8, 3, 3, 1, 8, 8),
+     "maxpool takes p=0 only, got p=1"),
+    # a merge of 8 channels claiming 7 was planned on 7
+    (LayerSpec(LayerKind.RESIDUAL_ADD, 8, 1, 1, 0, 8, 7, residual_source=0),
+     "residual_add takes d_out=8 only, got d_out=7"),
+    (LayerSpec(LayerKind.PW_CONV, 8, 3, 1, 0, 8, 4),
+     "pw_conv takes k=1 only, got k=3"),
+], ids=["pool-padding", "merge-channels", "pointwise-kernel"])
+def test_fixed_fields_checked_in_code(layer, message):
+    # the lowering's fixed fields guard specs that no document produced
+    conv = LayerSpec(LayerKind.CONV, 8, 3, 1, 1, 8, 8)
+    assert _errors(conv, layer) == [message]
 
 
 def test_input_rate_bounds():
@@ -144,26 +172,27 @@ def _doc_of(*layers, f=8, c=4):
             "layers": list(layers)}
 
 
-@pytest.mark.parametrize("doc, message", [
-    (_doc_of({"kind": "conv", "k": 7, "d_out": 2}, f=4),
+@pytest.mark.parametrize("doc, error, message", [
+    (_doc_of({"kind": "conv", "k": 7, "d_out": 2}, f=4), ValidationError,
      "kernel k=7 larger than padded map f+2p=4"),
-    (_doc_of({"kind": "conv", "k": 3, "p": 2, "d_out": 2}),
+    (_doc_of({"kind": "conv", "k": 3, "p": 2, "d_out": 2}), ValidationError,
      "padding p=2 exceeds"),
-    (_doc_of({"kind": "maxpool", "k": 2, "s": 3}),
+    (_doc_of({"kind": "maxpool", "k": 2, "s": 3}), ValidationError,
      "pooling stride s=3 exceeds window k=2"),
-    (_doc_of({"kind": "maxpool", "k": 3, "s": 3, "p": 1}, f=9),
-     "pooling layers do not support padding"),
+    # a max pool's padding is fixed at 0, so the row does not parse
+    (_doc_of({"kind": "maxpool", "k": 3, "s": 3, "p": 1}, f=9), SchemaError,
+     "layers[0].p: the lowering fixes it at 0, got 1"),
     (_doc_of({"kind": "fc", "d_out": 4},
-                  {"kind": "conv", "k": 1, "d_out": 2}),
+                  {"kind": "conv", "k": 1, "d_out": 2}), ValidationError,
      "only fully connected layers may follow"),
     (_doc_of({"kind": "conv", "k": 3, "p": 1, "d_out": 4},
                   {"kind": "conv", "k": 3, "p": 1, "d_out": 8},
                   {"kind": "residual_add", "residual_source": 0}),
-     "layer 2: residual merge shape mismatch with layer 0"),
+     ValidationError, "layer 2: residual merge shape mismatch with layer 0"),
 ], ids=["kernel-past-padded-map", "over-padded", "pool-stride-above-k",
         "pool-padding", "conv-after-fc", "residual-shape-mismatch"])
-def test_structural_errors_rejected(doc, message):
-    with pytest.raises(ValidationError, match=re.escape(message)):
+def test_structural_errors_rejected(doc, error, message):
+    with pytest.raises(error, match=re.escape(message)):
         parse_network(doc)
 
 
@@ -193,3 +222,16 @@ def test_lowered_avgpool_serializes_as_avgpool():
     assert row == {"kind": "avgpool", "f": 8, "k": 2, "s": 2, "p": 0,
                    "d_out": 4, "name": "A"}
     assert parse_network(serialize_network(spec)) == spec
+
+
+def test_integers_bounded():
+    # the bound itself parses and plans; no test simulates near it, since a
+    # valid network that large allocates gigabytes
+    doc = _rex_doc()
+    doc["layers"][0]["d_out"] = doc["layers"][-1]["d_out"] = MAX_INT
+    assert plan_network(parse_network(doc)).layers[0].layer.d_out == MAX_INT
+    for value in (MAX_INT + 1, 10 ** 20):
+        doc["layers"][0]["d_out"] = value
+        with pytest.raises(SchemaError, match=re.escape(
+                f"layers[0].d_out: must be in [1, {MAX_INT}], got {value}")):
+            parse_network(doc)
