@@ -1,20 +1,15 @@
 """Dataflow planner, resource model and cycle-accurate functional simulator
 for continuous-flow CNN inference architectures."""
 
-from .netspec import (LayerKind, LayerSpec, NetworkSpec, QuantFormat,
-                      parse_network, serialize_network, validate_network)
-from .rate import Flow, LayerRateInfo, classify_flow, output_rate, propagate_rates
+from .netspec import parse_network, serialize_network, validate_network
+from .rate import propagate_rates
 from .alloc import ArchitecturePlan, plan_network
-from .cost import (CostReport, CostScope, ResourceVector,
-                   fully_parallel_reference_cost, network_cost, sweep_rates)
+from .cost import network_cost, sweep_rates
 
 __all__ = [
-    "LayerKind", "LayerSpec", "NetworkSpec", "QuantFormat",
     "parse_network", "serialize_network", "validate_network",
-    "Flow", "LayerRateInfo", "classify_flow", "output_rate", "propagate_rates",
-    "ArchitecturePlan", "plan_network",
-    "CostReport", "CostScope", "ResourceVector",
-    "fully_parallel_reference_cost", "network_cost", "sweep_rates",
+    "propagate_rates", "ArchitecturePlan", "plan_network",
+    "network_cost", "sweep_rates",
 ]
 
 __version__ = "0.1.0"

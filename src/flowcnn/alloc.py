@@ -1,5 +1,7 @@
 """Turn data rates into a hardware plan: unit counts, configurations,
-interleave factors, FCU sizing and worst-case adder widths.
+interleave factors, FCU sizing and worst-case adder widths.  `plan_network`
+builds each layer's allocation once, width included, and the plan with its
+cycle budget.
 
 Allocation rules per layer kind (r = input data rate, d = d_in; the
 configuration count C = q * I of KPUs and PPUs comes from
@@ -58,13 +60,13 @@ class FcuAllocation:
     c: int                 # weight configurations = h * d_in / j
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerAllocation:
     index: int
     layer: LayerSpec
     rate: LayerRateInfo
     unit: ConvAllocation | FcuAllocation | None
-    acc_width: int = 0     # worst-case adder/accumulator width, bits
+    acc_width: int         # worst-case adder/accumulator width, bits
     warnings: list[str] = field(default_factory=list)
 
     def _window_units(self, pool: bool) -> int:
@@ -97,11 +99,11 @@ class LayerAllocation:
         return 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArchitecturePlan:
     spec: NetworkSpec
     layers: list[LayerAllocation]
-    cycle_budget: int = 0   # cycles to stream one feature map, steady state
+    cycle_budget: int      # cycles to stream one feature map, steady state
 
     @property
     def total_kpu(self) -> int:
@@ -182,34 +184,23 @@ def _unit_inputs(ly: LayerSpec) -> int:
     return ly.feature_count if ly.kind == LayerKind.FC else ly.d_in
 
 
-def worst_case_widths(plan: ArchitecturePlan, quant: QuantFormat) -> list[int]:
-    """Annotate every layer with its worst-case accumulator width.
-
-    width = input_bits + weight_bits + ceil(log2(#accumulated terms)); the
-    input width chains through the network because accumulators keep full
-    precision.  The simulator asserts these widths are never exceeded.
-    """
-    widths = []
-    in_bits = quant.activation_bits
-    for entry in plan.layers:
-        ly = entry.layer
-        if ly.kind == LayerKind.MAXPOOL:
-            acc = out = in_bits
-        elif ly.kind == LayerKind.RESIDUAL_ADD:
-            acc = out = in_bits + 1
-        elif ly.constant_weights:
-            # k*k unit-weight terms then floor division by k*k: the quotient
-            # fits the input width again
-            acc = in_bits + max(0, math.ceil(math.log2(ly.k * ly.k)))
-            out = in_bits
-        else:
-            terms = math.prod(ly.weight_shape[1:])
-            acc = out = in_bits + quant.weight_bits \
-                + max(0, math.ceil(math.log2(terms)))
-        entry.acc_width = acc
-        widths.append(acc)
-        in_bits = out
-    return widths
+def _widths(ly: LayerSpec, in_bits: int,
+            quant: QuantFormat) -> tuple[int, int]:
+    """A layer's worst-case accumulator width and its output width, given
+    its input width: input bits + weight bits + ceil(log2(#accumulated
+    terms)), chained through the network as accumulators keep full
+    precision.  The simulator asserts these widths are never exceeded."""
+    if ly.kind == LayerKind.MAXPOOL:
+        return in_bits, in_bits
+    if ly.kind == LayerKind.RESIDUAL_ADD:     # one carry bit
+        return in_bits + 1, in_bits + 1
+    if ly.constant_weights:
+        # k*k unit-weight terms then floor division by k*k: the quotient
+        # fits the input width again
+        return in_bits + (ly.k * ly.k - 1).bit_length(), in_bits
+    acc = in_bits + quant.weight_bits \
+        + (math.prod(ly.weight_shape[1:]) - 1).bit_length()
+    return acc, acc
 
 
 def plan_network(spec: NetworkSpec,
@@ -233,6 +224,7 @@ def plan_network(spec: NetworkSpec,
         raise AllocError("internal wiring error: rate list does not match layers")
 
     entries: list[LayerAllocation] = []
+    in_bits = spec.quant.activation_bits
     for idx, (ly, info) in enumerate(zip(spec.layers, rates)):
         warnings: list[str] = []
         unit: ConvAllocation | FcuAllocation | None
@@ -259,7 +251,9 @@ def plan_network(spec: NetworkSpec,
                 f"{spec.layer_name(idx)}: C={unit.c} slots per position "
                 f"outrun its pace of d_in/r_in = {ly.d_in / info.r_in} "
                 f"cycles; the layer cannot keep input rate {info.r_in}")
-        entries.append(LayerAllocation(idx, ly, info, unit, warnings=warnings))
+        acc_width, in_bits = _widths(ly, in_bits, spec.quant)
+        entries.append(
+            LayerAllocation(idx, ly, info, unit, acc_width, warnings))
 
     # Stream wiring must agree with the rate chain; a mismatch here means an
     # allocation formula was misapplied.
@@ -273,12 +267,9 @@ def plan_network(spec: NetworkSpec,
                 f"internal wiring error between layers {prev.index} and "
                 f"{cur.index}: rate {feeds} vs {expected}")
 
-    plan = ArchitecturePlan(spec, entries)
-    worst_case_widths(plan, spec.quant)
-    plan.cycle_budget = max(
+    return ArchitecturePlan(spec, entries, max(
         math.ceil(Fraction(e.layer.feature_count) / e.rate.r_in)
-        for e in entries)
-    return plan
+        for e in entries))
 
 
 def plan_to_dict(plan: ArchitecturePlan) -> dict:

@@ -5,7 +5,8 @@ Commands
   plan      unit allocation (KPU/FCU/PPU counts, interleaving, widths)
   cost      closed-form resource table under a costing scope
   sweep     one layer geometry across a list of input data rates
-  simulate  cycle-accurate run; outputs, stats and optional signal events
+  simulate  cycle-accurate run; outputs, stats and, with --trace, the signal
+            events read from each layer's own output (`signal_events`)
   compare   simulator vs reference inference over seeded random trials
   trace     per-cycle table of one unit of a layer (timing-table style)
 
@@ -42,7 +43,7 @@ from .netspec import (LayerKind, NetworkSpec, SpecError, load_network_file,
                       validate_network)
 from .oracle import (OracleError, gen_network_weights, gen_random,
                      load_tensor, ref_network, weights_from_json)
-from .sim.engine import SimConfigError, simulate_network
+from .sim.engine import SimConfigError, signal_events, simulate_network
 from .sim.trace import fcu_trace, kpu_trace
 from .sim.units import WidthOverflow
 
@@ -267,8 +268,7 @@ def cmd_simulate(args) -> int:
     maps = [x] if args.maps == 1 else [
         gen_random(x.shape, args.seed + m, spec.quant.activation_bits)
         if m else x for m in range(args.maps)]
-    result = simulate_network(plan, weights, maps, truncate=args.truncate,
-                              collect_events=bool(args.trace))
+    result = simulate_network(plan, weights, maps, truncate=args.truncate)
     out = result.outputs[-1]
     stats = result.stats
     payload = {
@@ -286,7 +286,7 @@ def cmd_simulate(args) -> int:
              f"fifo peaks: {stats.fifo_peaks}"]
     if args.trace:
         wanted = args.trace.split(",")
-        events = [e for e in result.events
+        events = [e for e in signal_events(spec, result)
                   if any(w in e[1] for w in wanted)]
         payload["events"] = [{"cycle": c, "signal": s, "value": v,
                               "valid": ok} for c, s, v, ok in events]

@@ -21,10 +21,10 @@ def running_example() -> NetworkSpec:
     return load_network_file(data_path("running_example.json"))
 
 
-def mobilenet_v1(alpha: float = 1.0, classes: int = 1000) -> NetworkSpec:
+def mobilenet_v1(alpha: float = 1.0) -> NetworkSpec:
     """MobileNetV1 body: one standard conv, thirteen depthwise-separable
-    blocks, global average pooling and the classifier, with the channel
-    counts scaled by alpha."""
+    blocks, global average pooling and the 1000-way classifier, with the
+    channel counts scaled by alpha."""
     def ch(d: int) -> int:
         scaled = d * alpha
         if scaled != int(scaled):
@@ -41,7 +41,7 @@ def mobilenet_v1(alpha: float = 1.0, classes: int = 1000) -> NetworkSpec:
         layers.append({"kind": "dw_separable", "k": 3, "s": s, "p": 1,
                        "d_out": ch(d), "name": f"block{idx}"})
     layers.append({"kind": "avgpool", "k": 7, "s": 7, "name": "avgpool"})
-    layers.append({"kind": "fc", "d_out": classes, "name": "fc"})
+    layers.append({"kind": "fc", "d_out": 1000, "name": "fc"})
     return parse_network({
         "input": {"height": 224, "width": 224, "channels": 3, "rate": "3"},
         "quant": {"weight_bits": 8, "activation_bits": 8},

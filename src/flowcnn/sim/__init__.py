@@ -1,9 +1,3 @@
-from .engine import SimConfigError, SimResult, SimStats, simulate_network
-from .trace import CycleTrace, fcu_trace, kpu_trace
-from .units import FcuUnit, KpuUnit, WidthOverflow
+from .engine import simulate_network
 
-__all__ = [
-    "SimConfigError", "SimResult", "SimStats", "simulate_network",
-    "CycleTrace", "fcu_trace", "kpu_trace",
-    "FcuUnit", "KpuUnit", "WidthOverflow",
-]
+__all__ = ["simulate_network"]

@@ -26,19 +26,24 @@ max|x| * max sum|w| (max|x| for a max) is below 2**53 and in int64
 otherwise.  The cycle-stepped units in `units` are the reference model this
 formula is tested against.  Values may carry trailing trial dimensions; the
 whole simulation is then batched across trials with identical control flow.
+
+Each layer's record (`LayerSim`) is built once and holds the layer's own
+output, bias added and never truncated: with truncation the next layer reads
+a copy wrapped to the activation width, and `signal_events` reads the
+records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..alloc import ArchitecturePlan, FcuAllocation, LayerAllocation
-from ..netspec import LayerKind
+from ..netspec import LayerKind, NetworkSpec
 from ..oracle import wrap_to_width
 from ..rate import map_stream, pad_gates, valid_output_positions
 from .units import _check_width, _peak
@@ -51,11 +56,11 @@ class SimConfigError(Exception):
     """Plan, weights and input do not describe a runnable simulation."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerSim:
-    """Everything a layer hands to its consumer."""
+    """One simulated layer: its own output, stamps and schedule counts."""
 
-    values: np.ndarray            # (n_maps, n_pixels, d_out, *TS)
+    values: np.ndarray            # (n_maps, n_pixels, d_out, *TS), biased
     arrivals: np.ndarray          # (n_maps, n_pixels, d_out) cycle stamps
     chan_order: list[int]         # channel emission order within one pixel
     busy: list[int]               # enabled cycles attributed to each map
@@ -75,8 +80,7 @@ class SimStats:
 class SimResult:
     outputs: np.ndarray           # (n_maps, f_out, f_out, d_out, *TS)
     stats: SimStats
-    layers: list[LayerSim]
-    events: list[tuple] | None = None   # (cycle, signal, value, valid)
+    layers: list[LayerSim]        # each layer's own output, not truncated
 
 
 def _fifo_stats(arrivals: np.ndarray, departures: np.ndarray) -> int:
@@ -242,7 +246,8 @@ def _window_values(values: np.ndarray, w, gate: np.ndarray, f: int,
     return acc.reshape(win_pos.shape + (d_out,) + ts)
 
 
-def _run_conv_like(entry: LayerAllocation, feed: LayerSim, w) -> LayerSim:
+def _run_conv_like(entry: LayerAllocation, feed: LayerSim, w,
+                   bias) -> LayerSim:
     ly = entry.layer
     f, k, s, p, d_in, d_out = ly.f, ly.k, ly.s, ly.p, ly.d_in, ly.d_out
     n_maps = len(feed.arrivals)
@@ -293,12 +298,14 @@ def _run_conv_like(entry: LayerAllocation, feed: LayerSim, w) -> LayerSim:
                               lat_pos + pix_pos, win_pos, entry.acc_width)
     if ly.constant_weights:
         out_vals //= k * k
+    if bias is not None:
+        out_vals += bias
     return LayerSim(out_vals, out_arr, order, busy, first_cycle,
                     fifo_peak=peak)
 
 
 def _run_fcu_layer(entry: LayerAllocation, name: str, feed: LayerSim,
-                   w, ts: tuple) -> LayerSim:
+                   w, bias, ts: tuple) -> LayerSim:
     ly = entry.layer
     unit_alloc = entry.unit
     j, h, n_fcu = unit_alloc.j, unit_alloc.h, unit_alloc.n_fcu
@@ -340,35 +347,44 @@ def _run_fcu_layer(entry: LayerAllocation, name: str, feed: LayerSim,
                               w[:, feats])
         _check_width(out_vals, entry.acc_width, "FCU accumulation")
 
+    if bias is not None:
+        out_vals += bias
     order = [u * h + sl for sl in range(h) for u in range(n_fcu)]
     return LayerSim(out_vals, out_arr, order, busy, first_cycle,
                     fifo_peak=peak)
 
 
-def _signal_events(name: str, sim: LayerSim) -> list[tuple]:
-    """(cycle, signal, value, valid) for every output of a layer (the value
-    of the first trial), in emission order: by cycle, then channel."""
-    n_out, d_out = sim.arrivals.shape[1:]
-    cycles = sim.arrivals.ravel()
-    values = sim.values.reshape(cycles.size, -1)[:, 0]
-    pixels, chans = np.divmod(np.arange(cycles.size) % (n_out * d_out), d_out)
-    return [(int(cycles[i]), f"{name}.y[{pixels[i]},{chans[i]}]",
-             int(values[i]), True)
-            for i in np.lexsort((chans, cycles))]
+def signal_events(spec: NetworkSpec, result: SimResult) -> list[tuple]:
+    """(cycle, signal, value, valid) for every output of every layer of a
+    run: the layer's own value before any truncation, of the first trial.
+    Layer by layer, each in emission order: by cycle, then channel."""
+    events = []
+    for idx, sim in enumerate(result.layers):
+        name = spec.layer_name(idx)
+        n_out, d_out = sim.arrivals.shape[1:]
+        cycles = sim.arrivals.ravel()
+        values = sim.values.reshape(cycles.size, -1)[:, 0]
+        pixels, chans = np.divmod(np.arange(cycles.size) % (n_out * d_out),
+                                  d_out)
+        events += [(int(cycles[i]), f"{name}.y[{pixels[i]},{chans[i]}]",
+                    int(values[i]), True)
+                   for i in np.lexsort((chans, cycles))]
+    return events
 
 
 def simulate_network(plan: ArchitecturePlan, weights: dict,
                      x_maps: np.ndarray | list[np.ndarray],
-                     truncate: bool = False,
-                     collect_events: bool = False) -> SimResult:
+                     truncate: bool = False) -> SimResult:
     """Run every planned layer over one or more input maps.
 
     x_maps: one (h, w, c, *trials) array or a list of them, with the same
     trial axes, for back-to-back maps.  weights maps each layer with weights
     to its "w" (LayerSpec.weight_shape) and "b" ((d_out,)), each shared or
     stacked over the trial axes; the bias is added to the layer's
-    results before any truncation.  Outputs are bit-exact against the
-    reference inference under the same truncate setting.
+    results.  Each layer's record keeps its own output; with truncate, the
+    next layer reads it wrapped to the activation width, and so do the
+    outputs.  Outputs are bit-exact against the reference inference under
+    the same truncate setting.
     """
     spec = plan.spec
     if isinstance(x_maps, np.ndarray):
@@ -385,7 +401,6 @@ def simulate_network(plan: ArchitecturePlan, weights: dict,
             raise SimConfigError(
                 f"input map {xm.shape} has trial axes {xm.shape[3:]}, "
                 f"the first map {ts}")
-    events: list[tuple] | None = [] if collect_events else None
 
     feed = _input_layer(np.stack(x_maps).astype(np.int64, copy=False),
                         plan.layers[0].rate.r_in)
@@ -418,25 +433,22 @@ def simulate_network(plan: ArchitecturePlan, weights: dict,
                 raise SimConfigError(
                     f"{name}: {what} of shape {value.shape}, expected "
                     f"{shape}" + (f" or {shape + ts}" if ts else ""))
+        if bias is not None:   # against (maps, pixels, d_out, *TS)
+            bias = bias.reshape(bias.shape + (1,) * (1 + len(ts) - bias.ndim))
         if isinstance(entry.unit, FcuAllocation):
-            sim = _run_fcu_layer(entry, name, feed, w, ts)
+            sim = _run_fcu_layer(entry, name, feed, w, bias, ts)
         else:
-            sim = _run_conv_like(entry, feed, w)
-        if bias is not None:
-            # (d_out,) or (d_out, *TS) against (maps, pixels, d_out, *TS)
-            sim.values += bias.reshape(
-                bias.shape + (1,) * (1 + len(ts) - bias.ndim))
-        if events is not None:
-            events += _signal_events(name, sim)
-        if truncate:
-            sim.values = wrap_to_width(sim.values, spec.quant.activation_bits)
+            sim = _run_conv_like(entry, feed, w, bias)
         sims.append(sim)
-        feed = sim
+        # the consumer reads the record, or a copy wrapped to the
+        # activation width that the next layer's own view replaces
+        feed = replace(sim, values=wrap_to_width(
+            sim.values, spec.quant.activation_bits)) if truncate else sim
 
     last = sims[-1]
     n_maps = len(x_maps)
     f_out = spec.layers[-1].f_out
-    outputs = last.values.reshape(
+    outputs = feed.values.reshape(
         (n_maps, f_out, f_out, spec.layers[-1].d_out) + ts)
     utilization: list[Fraction | None] = []
     for sim in sims:
@@ -452,4 +464,4 @@ def simulate_network(plan: ArchitecturePlan, weights: dict,
         utilization=utilization,
         fifo_peaks=[sim.fifo_peak for sim in sims],
     )
-    return SimResult(outputs, stats, sims, events)
+    return SimResult(outputs, stats, sims)

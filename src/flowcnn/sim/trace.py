@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..rate import map_stream, output_valid
+from ..rate import map_stream, valid_output_positions
+from .engine import _chain
 from .units import FcuUnit, KpuUnit
 
 
@@ -67,13 +68,10 @@ def kpu_trace(f: int, k: int, p: int, weights: np.ndarray,
     prefix, period = map_stream(f, p)
     total = prefix + len(maps) * period
 
-    tap_names = {(i, m): f"a_{i + 1}{m + 1}" for i in range(k)
-                 for m in range(k - 1)}
-    tap_names[(k - 1, k - 1)] = "y_n"
-    for i in range(k - 1):
-        tap_names[(i, k - 1)] = f"a_{i + 1}{k}"
-    columns = ["x_n"] + (["pad"] if p else []) + [
-        tap_names[(i, m)] for i in range(k) for m in range(k)]
+    tap_names = {(i, m): "y_n" if i == m == k - 1 else f"a_{i + 1}{m + 1}"
+                 for i in range(k) for m in range(k)}
+    columns = ["x_n"] + (["pad"] if p else []) + list(tap_names.values())
+    valid = set(valid_output_positions(f, k, s, p).tolist())
 
     def anchor(x: int) -> tuple[int, int] | None:
         """(map, pixel) streaming in at position x + prefix, or None."""
@@ -99,7 +97,7 @@ def kpu_trace(f: int, k: int, p: int, weights: np.ndarray,
         for (i, m), val in taps.items():
             name = tap_names[(i, m)]
             window = anchor(t - unit.tap_delay(i, m))
-            ok = window is not None and output_valid(window[1], f, k, s, p)
+            ok = window is not None and window[1] in valid
             w_local = window[1] if ok else None
             row.valid[name] = ok
             if name == "y_n":
@@ -118,17 +116,16 @@ def fcu_trace(j: int, h: int, d_in: int, weights: np.ndarray,
               x: np.ndarray, aggregate: int = 1) -> CycleTrace:
     """Feed d_in features through one FCU computing h neurons.
 
-    weights is (d_out_slice, d_in) for the h neurons; x is the flat feature
-    vector.  With aggregate > 1 the features arrive aggregate-per-batch
-    slower and an input aggregator assembles the wide batches, exactly one
-    cycle of extra delay per missing lane.
+    weights is (h, d_in), a row per neuron; x is the flat feature vector.
+    With aggregate > 1 the features arrive aggregate-per-batch slower and
+    an input aggregator assembles the wide batches, exactly one cycle of
+    extra delay per missing lane.  The batches start on the engine's
+    schedule (`_chain`).
     """
     n_batches = d_in // j
     configs = h * n_batches
-    bank = np.zeros((configs, j), dtype=np.int64)
-    for b in range(n_batches):
-        for sl in range(h):
-            bank[b * h + sl] = weights[sl, b * j:(b + 1) * j]
+    # configuration b*h + sl: neuron sl's weights on batch b
+    bank = weights.reshape(h, n_batches, j).swapaxes(0, 1).reshape(configs, j)
     unit = FcuUnit(j, h, configs, bank)
 
     aggregated = aggregate > 1
@@ -141,11 +138,10 @@ def fcu_trace(j: int, h: int, d_in: int, weights: np.ndarray,
     # aggregation the batches run back to back.
     lanes = j // aggregate
     n_groups = d_in // lanes
-    starts: list[int] = []
-    end = 0
-    for b in range(n_batches):
-        starts.append(max(end, (b + 1) * aggregate) if aggregated else end)
-        end = starts[-1] + h
+    ready = np.arange(1, n_batches + 1) * aggregate if aggregated \
+        else np.zeros(n_batches, dtype=np.int64)
+    starts = _chain(ready, h).tolist()
+    end = starts[-1] + h
 
     def agg_view(t: int, consumed_batches: int) -> str:
         arrived = min(t, n_groups)

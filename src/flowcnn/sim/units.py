@@ -35,21 +35,29 @@ class WidthOverflow(AssertionError):
     """A datapath value exceeded its worst-case width analysis."""
 
 
+def _extremes(value) -> tuple[int, int]:
+    """(min, max) of an int or an array, as Python ints."""
+    if isinstance(value, np.ndarray):
+        return int(value.min()), int(value.max())
+    return int(value), int(value)
+
+
 def _peak(value) -> int:
     """max |v| over an int or an array, exact for every int64 (np.abs leaves
     -2**63 negative)."""
-    if isinstance(value, np.ndarray):
-        return max(-int(value.min()), int(value.max()))
-    return abs(int(value))
+    lo, hi = _extremes(value)
+    return max(-lo, hi)
 
 
 def _check_width(value, bits: int | None, where: str) -> None:
+    """Refuse a value outside a signed two's-complement register of bits,
+    [-2**(bits-1), 2**(bits-1)); at 64 bits or more every int64 fits."""
     if bits is None:
         return
-    peak = _peak(value)
-    if peak >= 1 << (bits - 1):
+    lo, hi = _extremes(value)
+    if lo < -(1 << (bits - 1)) or hi >= 1 << (bits - 1):
         raise WidthOverflow(
-            f"{where}: |{peak}| does not fit signed {bits}-bit")
+            f"{where}: |{max(-lo, hi)}| does not fit signed {bits}-bit")
 
 
 class KpuUnit:

@@ -221,6 +221,22 @@ def test_compare_detects_divergence(capsys, tmp_path, rex_file, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_most_negative_activation_fits(capsys, tmp_path, command):
+    # a k=1 max pool passes the 8-bit inputs through, -128 among them; in
+    # two's complement -128 fits a signed 8-bit register
+    path = tmp_path / "pool.json"
+    path.write_text(json.dumps({
+        "input": {"height": 8, "width": 8, "channels": 12},
+        "layers": [{"kind": "maxpool", "k": 1}]}))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, err) == (0, "")
+    if command == "compare":
+        assert "all 10 trials bit-exact" in out
+    else:
+        assert "-128" in out
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_notes_only_commands_offer_no_csv(capsys, rex_file, command):
     with pytest.raises(SystemExit) as exc:
         main([command, rex_file, "--format", "csv"])

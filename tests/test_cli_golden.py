@@ -55,6 +55,8 @@ def cases() -> list[list[str]]:
     # in one cycle ahead of a per-pixel pointwise layer
     out.append(["simulate", rex, "--maps", "2", "--trace", "P1,P2,F1"])
     out.append(["simulate", rex, "--truncate", "--trace", "C2"])
+    out.append(["simulate", rex, "--truncate", "--maps", "2", "--trace",
+                "P2,F1", "--format", "json"])
     out.append(["simulate", rex, "--min-h", "10", "--maps", "2",
                 "--trace", "F1"])
     out.append(["simulate", "sweep_separable.json", "--trace", "sweep",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from flowcnn.alloc import AllocError, FcuAllocation, plan_network
 from flowcnn.models import mobilenet_v1, random_network, running_example
 from flowcnn.netspec import LayerKind, parse_network
-from flowcnn.oracle import gen_network_weights, gen_random, ref_network
+from flowcnn.oracle import (gen_network_weights, gen_random, ref_network,
+                            wrap_to_width)
 from flowcnn.rate import (Flow, map_stream, pad_gates, propagate_rates,
                           valid_output_positions)
 from flowcnn.sim import engine
@@ -220,6 +222,19 @@ def test_truncate_mode_matches_oracle():
     assert np.abs(res.outputs[0]).max() <= 128
 
 
+def test_truncated_run_keeps_each_layer_output():
+    # a layer's record holds what it produced; only its consumer and the
+    # outputs read it wrapped to the 8-bit activation width
+    spec = running_example()
+    weights = gen_network_weights(spec, 0)
+    xs = [gen_random(spec.input_shape, m, 8) for m in range(2)]
+    res = simulate_network(plan_network(spec), weights, xs, truncate=True)
+    assert any(sim.values.min() < -128 or sim.values.max() > 127
+               for sim in res.layers)
+    last = wrap_to_width(res.layers[-1].values, 8)
+    assert np.array_equal(last.reshape(res.outputs.shape), res.outputs)
+
+
 def test_residual_rejected_by_simulator():
     spec = parse_network({
         "input": {"height": 4, "width": 4, "channels": 2},
@@ -404,10 +419,15 @@ def test_mobilenet_025_truncated_bitexact():
     assert np.array_equal(res.outputs[0].reshape(ref.shape), ref)
 
 
+def _with_width(plan, idx, width):
+    """The plan with layer idx's allocation rebuilt at another width."""
+    plan.layers[idx] = replace(plan.layers[idx], acc_width=width)
+    return plan
+
+
 def _overflow_case(layers, h, c, x, w, width):
     spec = _spec(layers, h=h, c=c)
-    plan = plan_network(spec)
-    plan.layers[0].acc_width = width
+    plan = _with_width(plan_network(spec), 0, width)
     weights = {} if w is None else \
         {"L0": {"w": w, "b": np.zeros(w.shape[0], dtype=np.int64)}}
     return simulate_network(plan, weights, x.reshape(h, h, c))
@@ -664,8 +684,7 @@ def test_conv_past_the_exact_bound_wraps_like_int64(layer):
     # values near +-2**60: the bound passes 2**53 and the windows run in
     # int64, wrapping mod 2**64 as the delay lines and ref_network do
     spec = _spec([layer], h=4, c=2)
-    plan = plan_network(spec)
-    plan.layers[0].acc_width = 64
+    plan = _with_width(plan_network(spec), 0, 64)
     weights = gen_network_weights(spec, 3)
     rng = np.random.default_rng(4)
     x = rng.integers(2**60 - 2**20, 2**60, size=(4, 4, 2)) \
@@ -754,14 +773,14 @@ def test_stepped_fcus_match_fcu_datapath():
             compared += sums.size
             # a width one bit short of the peak running sum: both raise, the
             # engine at the first batch whose running sums leave the width
-            planned = entry.acc_width
-            bits = entry.acc_width = max(peaks).bit_length()
+            bits = max(peaks).bit_length()
             with pytest.raises(WidthOverflow, match="^FCU accumulation"):
                 _stepped_fcu_layer(entry, feed, w, bits)
             first = next(p for p in peaks if p >= 1 << (bits - 1))
             with pytest.raises(WidthOverflow) as exc:
-                simulate_network(plan, weights, xs)
+                simulate_network(_with_width(plan, entry.index, bits),
+                                 weights, xs)
             assert str(exc.value) == \
                 f"FCU accumulation: |{first}| does not fit signed {bits}-bit"
-            entry.acc_width = planned
+            plan.layers[entry.index] = entry
     assert compared > 10_000

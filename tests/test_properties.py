@@ -15,7 +15,7 @@ from flowcnn.netspec import LayerKind, parse_network, serialize_network
 from flowcnn.oracle import (gen_network_weights, gen_random, ref_conv2d,
                             weights_to_json)
 from flowcnn.rate import output_valid, valid_output_positions
-from flowcnn.sim.engine import simulate_network
+from flowcnn.sim.engine import signal_events, simulate_network
 
 POW2_RATES = [Fraction(8), Fraction(4), Fraction(2), Fraction(1),
               Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
@@ -114,11 +114,10 @@ def _run_once(seed):
     weights = gen_network_weights(spec, seed)
     h, w, c = spec.input_shape
     x = gen_random((h, w, c), seed + 1, 8)
-    res = simulate_network(plan_network(spec), weights, x,
-                           collect_events=True)
+    res = simulate_network(plan_network(spec), weights, x)
     blob = {
         "outputs": [o.tolist() for o in res.outputs],
-        "events": res.events,
+        "events": signal_events(spec, res),
         "weights": weights_to_json(weights),
         "stats": [res.stats.cycles, res.stats.first_output_latency,
                   res.stats.fifo_peaks],

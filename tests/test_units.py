@@ -191,9 +191,20 @@ def test_width_check_sees_int64_min():
     # np.abs(-2**63) stays negative, so a peak taken through np.abs misses it
     with pytest.raises(WidthOverflow, match=r"^x: \|9223372036854775808\| "):
         _check_width(np.array([-2**63, 5]), 8, "x")
+    # two's complement: [-128, 128) fits 8 bits, and the message names the
+    # extreme that leaves the range, or the larger one if both do
+    _check_width(np.array([-128, 127]), 8, "x")
+    with pytest.raises(WidthOverflow, match=r"^x: \|129\| "):
+        _check_width(np.array([-129, 5]), 8, "x")
     with pytest.raises(WidthOverflow, match=r"^x: \|128\| "):
-        _check_width(np.array([-128, 5]), 8, "x")
-    _check_width(np.array([-127, 127]), 8, "x")
+        _check_width(np.array([-128, 128]), 8, "x")
+    with pytest.raises(WidthOverflow, match=r"^x: \|130\| "):
+        _check_width(np.array([-130, 129]), 8, "x")
+    with pytest.raises(WidthOverflow, match=r"^x: \|128\| "):
+        _check_width(128, 8, "x")
+    _check_width(-128, 8, "x")
+    # at 64 bits every int64 fits
+    _check_width(np.array([-2**63, 2**63 - 1]), 64, "x")
 
 
 def test_kpu_trailing_dims_match_scalar():
