@@ -11,10 +11,10 @@ configuration count C = q * I of KPUs and PPUs comes from
                   C = q * I, #KPU = ceil(r) * ceil(d_out / I)
   depthwise conv  I = 1, C = q, #KPU = ceil(r)
   max pooling     as depthwise, with PPUs (KPUs without weights)
-  fully connected r = j_max / h_max in lowest terms; j = a * j_max with the
-                  smallest aggregation a making some divisor h of d_out with
-                  min_h <= h <= a * h_max feasible; #FCU = d_out / h;
-                  C = h * d_in / j
+  fully connected r = j_max / h_max in lowest terms; least = the smallest
+                  divisor of d_out >= min_h, aggregation a = ceil(least /
+                  h_max), j = a * j_max, h = the largest divisor of d_out
+                  <= a * h_max; #FCU = d_out / h; C = h * d_in / j
   pointwise conv  sized like a fully connected layer applied per pixel
 
 A layer stalls when r * C < d: its C slots leave idle cycles in the
@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .netspec import LayerKind, LayerSpec, NetworkSpec, QuantFormat
-from .rate import (Flow, LayerRateInfo, Rate, classify_flow, config_count,
-                   interleave_count, propagate_rates)
+from .rate import (WINDOW_KINDS, Flow, LayerRateInfo, Rate, classify_flow,
+                   config_count, interleave_count, propagate_rates)
 
 
 class AllocError(Exception):
@@ -94,9 +94,7 @@ class LayerAllocation:
     @property
     def interleave(self) -> int:
         """Output channels multiplexed onto one physical stream."""
-        if isinstance(self.unit, ConvAllocation):
-            return self.unit.i
-        return 1
+        return self.unit.i if isinstance(self.unit, ConvAllocation) else 1
 
 
 @dataclass(frozen=True)
@@ -147,8 +145,8 @@ def size_fcu(d_in: int, d_out: int, r_in: Rate, min_h: int = 1,
 
     d_in is the unit's input width: the flattened map of a fully connected
     layer, one pixel's channels of a pointwise conv.  j_max/h_max come from
-    r_in in lowest terms; aggregation multiplies both until some divisor of
-    d_out at least min_h fits under a * h_max.
+    r_in in lowest terms; the aggregation a is the least multiplier of both
+    that fits a divisor of d_out at least min_h under a * h_max.
 
     With shared_pointwise_streams, FCUs with h = 1 time-multiplex ceil(r)
     output channels each, halving-or-better the unit count at the price of
@@ -158,15 +156,9 @@ def size_fcu(d_in: int, d_out: int, r_in: Rate, min_h: int = 1,
         raise AllocError(
             f"pipeline depth {min_h} exceeds d_out={d_out}; no feasible h")
     j_max, h_max = r_in.numerator, r_in.denominator
-    a = 1
-    while True:
-        cap = a * h_max
-        divisors = [h for h in range(1, min(cap, d_out) + 1) if d_out % h == 0]
-        feasible = [h for h in divisors if h >= min_h]
-        if feasible:
-            h = max(feasible)
-            break
-        a += 1
+    least = next(h for h in range(max(min_h, 1), d_out + 1) if d_out % h == 0)
+    a = -(-least // h_max)
+    h = next(h for h in range(min(a * h_max, d_out), 0, -1) if d_out % h == 0)
     j = a * j_max
     if d_in % j != 0:
         raise AllocError(
@@ -228,7 +220,7 @@ def plan_network(spec: NetworkSpec,
     for idx, (ly, info) in enumerate(zip(spec.layers, rates)):
         warnings: list[str] = []
         unit: ConvAllocation | FcuAllocation | None
-        if ly.kind in (LayerKind.CONV, LayerKind.DW_CONV, LayerKind.MAXPOOL):
+        if ly.kind in WINDOW_KINDS:
             unit = alloc_conv(ly.kind, ly.d_in, ly.d_out, info.r_in)
             if unit.continuity_break:
                 warnings.append(

@@ -263,6 +263,9 @@ def _load_inputs(args, spec: NetworkSpec):
 
 def cmd_simulate(args) -> int:
     spec = _load_spec(args.spec)
+    wanted = tuple(part for part in (args.trace or "").split(",") if part)
+    if args.trace and not wanted:
+        raise CliError(f"--trace {args.trace!r} names no signal substring")
     plan = plan_network(spec, min_h=args.min_h)
     weights, x = _load_inputs(args, spec)
     maps = [x] if args.maps == 1 else [
@@ -284,10 +287,8 @@ def cmd_simulate(args) -> int:
              "utilization: " + " ".join(
                  "-" if u is None else str(u) for u in stats.utilization),
              f"fifo peaks: {stats.fifo_peaks}"]
-    if args.trace:
-        wanted = args.trace.split(",")
-        events = [e for e in signal_events(spec, result)
-                  if any(w in e[1] for w in wanted)]
+    if wanted:
+        events = signal_events(spec, result, wanted)
         payload["events"] = [{"cycle": c, "signal": s, "value": v,
                               "valid": ok} for c, s, v, ok in events]
         lines += [f"{c:>6}  {s:<18} {v}" for c, s, v, ok in events]

@@ -8,7 +8,7 @@ Per-unit costs (k = kernel side, f = input map side, C = configurations):
   FCU   adders j, multipliers j, registers h, 2:1 muxes j (C-1)
   channel accumulation   registers d_out, adders (d_out/I) * ceil(#KPU/d_out)
   bias  adders per output stream, (I-1) 2:1 muxes each
-  input interleaving     (d/I - ceil(r)) 2:1 muxes
+  input interleaving     (d/I - ceil(r)) 2:1 muxes, into KPUs and PPUs
   inter-layer FIFO       d registers
 
 An N:1 multiplexer counts as N-1 two-to-one multiplexers.  ReLU and control
@@ -20,17 +20,21 @@ depthwise-separable pair belong to the layer itself and are always counted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import attrgetter
 
 from .alloc import (ArchitecturePlan, ConvAllocation, FcuAllocation,
                     LayerAllocation, plan_network)
 from .netspec import LayerKind, LayerSpec, NetworkSpec
-from .rate import Flow, Rate
+from .rate import WINDOW_KINDS, Flow, Rate
 
 
 @dataclass(frozen=True)
 class ResourceVector:
+    """Resource counts; the arithmetic runs over the declared fields."""
+
     adders: int = 0
     multipliers: int = 0
     registers: int = 0
@@ -38,23 +42,17 @@ class ResourceVector:
     max_units: int = 0
     weights: int = 0
 
-    def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(
-            self.adders + other.adders,
-            self.multipliers + other.multipliers,
-            self.registers + other.registers,
-            self.mux2 + other.mux2,
-            self.max_units + other.max_units,
-            self.weights + other.weights,
-        )
-
     def scaled(self, n: int) -> "ResourceVector":
-        return ResourceVector(self.adders * n, self.multipliers * n,
-                              self.registers * n, self.mux2 * n,
-                              self.max_units * n, self.weights * n)
+        return ResourceVector(*[v * n for v in _field_values(self)])
 
 
-ZERO = ResourceVector()
+_field_values = attrgetter(*(f.name for f in fields(ResourceVector)))
+
+
+def sum_vectors(vectors: Iterable[ResourceVector]) -> ResourceVector:
+    """Field-by-field sum, built once: building a frozen dataclass costs
+    more than the additions."""
+    return ResourceVector(*map(sum, zip(*map(_field_values, vectors))))
 
 
 @dataclass(frozen=True)
@@ -134,11 +132,9 @@ def fcu_cost(j: int, h: int, c: int, n_fcu: int) -> ResourceVector:
 
 @dataclass
 class CostRow:
-    index: int
     name: str
     kind: str
     configs: int
-    r_out: Fraction
     vector: ResourceVector
     n_kpu: int = 0
     n_fcu: int = 0
@@ -153,10 +149,7 @@ class CostReport:
 
     @property
     def total(self) -> ResourceVector:
-        total = ZERO
-        for row in self.rows:
-            total = total + row.vector
-        return total
+        return sum_vectors(row.vector for row in self.rows)
 
     @property
     def total_kpu(self) -> int:
@@ -175,38 +168,37 @@ def layer_cost(entry: LayerAllocation, scope: CostScope,
                producer: LayerAllocation | None) -> ResourceVector:
     """Everything attributed to one layer row under the given scope."""
     ly, unit = entry.layer, entry.unit
-    vec = ResourceVector(weights=ly.weight_count)
+    parts = [ResourceVector(weights=ly.weight_count)]
 
     if isinstance(unit, ConvAllocation):
         unit_cost = ppu_cost if entry.n_ppu else kpu_cost
-        vec = vec + unit_cost(ly.k, ly.f, unit.c).scaled(unit.n_units)
+        parts.append(unit_cost(ly.k, ly.f, unit.c).scaled(unit.n_units))
         if unit.accumulators:
-            vec = vec + accumulator_cost(ly.d_out, unit.accumulators,
-                                         unit.n_units)
+            parts.append(accumulator_cost(ly.d_out, unit.accumulators,
+                                          unit.n_units))
         if scope.include_bias and ly.has_weights:
             # a depthwise output stream carries the C channels of its KPU
-            vec = vec + bias_cost(ly.d_out, unit.c
-                                  if ly.kind == LayerKind.DW_CONV else unit.i)
+            parts.append(bias_cost(
+                ly.d_out, unit.c if ly.kind == LayerKind.DW_CONV else unit.i))
         if unit.continuity_break:
             # output-hold registers where the unit count was rounded up
-            vec = vec + ResourceVector(registers=ly.d_out)
+            parts.append(ResourceVector(registers=ly.d_out))
     elif isinstance(unit, FcuAllocation):
-        vec = vec + fcu_cost(unit.j, unit.h, unit.c, unit.n_fcu)
+        parts.append(fcu_cost(unit.j, unit.h, unit.c, unit.n_fcu))
         # FC/pointwise bias loads the accumulator start value; no adder
     elif ly.kind == LayerKind.RESIDUAL_ADD:
-        vec = vec + ResourceVector(adders=math.ceil(entry.rate.r_in))
+        parts.append(ResourceVector(adders=math.ceil(entry.rate.r_in)))
 
-    # Input-side interleaving.  FCU-fed layers hold their inputs themselves
-    # and need no interleaving muxes; the FIFO on the link inside a lowered
+    # Input-side interleaving feeds window units only (WINDOW_KINDS): FCUs
+    # hold their inputs themselves.  The FIFO on the link inside a lowered
     # depthwise-separable pair is part of the layer and always counted.
     if producer is not None:
         if ly.internal_input:
-            vec = vec + ResourceVector(registers=ly.d_in)
-        if scope.include_interleaver and ly.kind not in (
-                LayerKind.FC, LayerKind.PW_CONV, LayerKind.RESIDUAL_ADD):
-            vec = vec + interleaver_cost(ly.d_in, producer.interleave,
-                                         entry.rate.r_in)
-    return vec
+            parts.append(ResourceVector(registers=ly.d_in))
+        if scope.include_interleaver and ly.kind in WINDOW_KINDS:
+            parts.append(interleaver_cost(ly.d_in, producer.interleave,
+                                          entry.rate.r_in))
+    return sum_vectors(parts)
 
 
 def network_cost(plan: ArchitecturePlan, scope: CostScope) -> CostReport:
@@ -219,11 +211,9 @@ def network_cost(plan: ArchitecturePlan, scope: CostScope) -> CostReport:
         if producer is not None and not entry.layer.internal_input:
             fifo_total += entry.layer.d_in
         rows.append(CostRow(
-            index=idx,
             name=plan.spec.layer_name(idx),
             kind=entry.layer.kind.value,
             configs=entry.configs,
-            r_out=entry.rate.r_out,
             vector=vec,
             n_kpu=entry.n_kpu,
             n_fcu=entry.n_fcu,

@@ -23,6 +23,10 @@ from .netspec import LayerKind, LayerSpec, NetworkSpec
 
 Rate = Fraction
 
+# the kinds that run on window units (KPUs or PPUs)
+WINDOW_KINDS = frozenset({LayerKind.CONV, LayerKind.DW_CONV,
+                          LayerKind.MAXPOOL})
+
 
 class Flow(Enum):
     CONTINUOUS = "continuous"
@@ -110,11 +114,11 @@ def classify_flow(layer: LayerSpec, r_in: Rate) -> LayerRateInfo:
     A position takes C slots and the input supplies one every d_in/r_in
     cycles, so utilization is min(1, r_in * C / d_in): the layer stalls when
     r_in * C < d_in, where interleaving cannot hide the idle cycles, and is
-    restored when C > 1 slots fill the pace.  FCU-based layers (fully
-    connected, pointwise) absorb slow input by construction and never stall.
+    restored when C > 1 slots fill the pace.  FCU-fed and merge layers
+    (outside WINDOW_KINDS) absorb slow input and never stall.
     """
     r_out = output_rate(layer.d_in, layer.d_out, r_in, layer.s)
-    if layer.kind in (LayerKind.FC, LayerKind.PW_CONV, LayerKind.RESIDUAL_ADD):
+    if layer.kind not in WINDOW_KINDS:
         return LayerRateInfo(r_in, r_out, Flow.CONTINUOUS, Fraction(1))
 
     c = config_count(layer.kind, layer.d_in, layer.d_out, r_in)

@@ -23,9 +23,11 @@ through one window function (`_window_values`): per input channel a tap
 matrix, reduced by a kernel matrix (every output channel), by the
 channel's own kernel or by a max.  It runs in float64 when the exact bound
 max|x| * max sum|w| (max|x| for a max) is below 2**53 and in int64
-otherwise.  The cycle-stepped units in `units` are the reference model this
-formula is tested against.  Values may carry trailing trial dimensions; the
-whole simulation is then batched across trials with identical control flow.
+otherwise.  Each (input, output) channel pair's windows are width-checked
+there, and a standard conv's sums over its input channels after it.  The
+cycle-stepped units in `units` are the reference model this formula is
+tested against.  Values may carry trailing trial dimensions; the whole
+simulation is then batched across trials with identical control flow.
 
 Each layer's record (`LayerSim`) is built once and holds the layer's own
 output, bias added and never truncated: with truncation the next layer reads
@@ -296,6 +298,8 @@ def _run_conv_like(entry: LayerAllocation, feed: LayerSim, w,
     kernels = w[:, None] if ly.kind == LayerKind.DW_CONV else w
     out_vals = _window_values(feed.values, kernels, gate, f,
                               lat_pos + pix_pos, win_pos, entry.acc_width)
+    if ly.kind == LayerKind.CONV:   # the sums over input channels
+        _check_width(out_vals, entry.acc_width, "KPU channel accumulation")
     if ly.constant_weights:
         out_vals //= k * k
     if bias is not None:
@@ -354,13 +358,20 @@ def _run_fcu_layer(entry: LayerAllocation, name: str, feed: LayerSim,
                     fifo_peak=peak)
 
 
-def signal_events(spec: NetworkSpec, result: SimResult) -> list[tuple]:
-    """(cycle, signal, value, valid) for every output of every layer of a
-    run: the layer's own value before any truncation, of the first trial.
-    Layer by layer, each in emission order: by cycle, then channel."""
+def signal_events(spec: NetworkSpec, result: SimResult,
+                  wanted: tuple[str, ...] = ("",)) -> list[tuple]:
+    """(cycle, signal, value, valid) for the outputs of a run whose signal
+    `name.y[p,c]` contains one of the wanted strings (by default every
+    output): each layer's own value before any truncation, of the first
+    trial, layer by layer in emission order (by cycle, then channel).  A
+    layer is skipped unbuilt when no string can match it: none is in its
+    name, holds a "." or is made only of ".y[]," and digits."""
     events = []
     for idx, sim in enumerate(result.layers):
         name = spec.layer_name(idx)
+        if not any(w in name or "." in w or set(w) <= set(".y[],0123456789")
+                   for w in wanted):
+            continue
         n_out, d_out = sim.arrivals.shape[1:]
         cycles = sim.arrivals.ravel()
         values = sim.values.reshape(cycles.size, -1)[:, 0]
@@ -369,7 +380,7 @@ def signal_events(spec: NetworkSpec, result: SimResult) -> list[tuple]:
         events += [(int(cycles[i]), f"{name}.y[{pixels[i]},{chans[i]}]",
                     int(values[i]), True)
                    for i in np.lexsort((chans, cycles))]
-    return events
+    return [e for e in events if any(w in e[1] for w in wanted)]
 
 
 def simulate_network(plan: ArchitecturePlan, weights: dict,

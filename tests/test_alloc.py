@@ -1,10 +1,11 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from flowcnn.alloc import (AllocError, ConvAllocation, alloc_conv,
-                           plan_network, size_fcu)
+from flowcnn.alloc import (AllocError, ConvAllocation, FcuAllocation,
+                           alloc_conv, plan_network, size_fcu)
 from flowcnn.cost import accumulator_cost
 from flowcnn.models import mobilenet_v1, random_network, running_example
 from flowcnn.netspec import LayerKind, LayerSpec, QuantFormat, parse_network
@@ -76,6 +77,41 @@ def test_size_fcu_pointwise_modes():
     assert (deep.h, deep.n_fcu) == (2, 8)
     assert size_fcu(6, 16, Fraction(3, 2), shared_pointwise_streams=True) \
         == deep
+
+
+def _size_fcu_by_search(d_in, d_out, r_in, min_h, shared):
+    """Reference FCU sizing: raise the aggregation a one step at a time
+    until some divisor of d_out at least min_h fits under a * h_max."""
+    j_max, h_max = r_in.numerator, r_in.denominator
+    a = 1
+    while True:
+        feasible = [h for h in range(1, min(a * h_max, d_out) + 1)
+                    if d_out % h == 0 and h >= min_h]
+        if feasible:
+            break
+        a += 1
+    h, j = max(feasible), a * j_max
+    if d_in % j:
+        return None
+    n_fcu, c = d_out // h, h * d_in // j
+    share = math.gcd(math.ceil(r_in), n_fcu) if shared and h == 1 else 1
+    return FcuAllocation(j=j, h=h, a=a, n_fcu=n_fcu // share, c=c * share)
+
+
+def test_size_fcu_closed_form_matches_search():
+    # d_out with few and many divisors, rates above and below one, and
+    # pipeline depths that force aggregation; None marks the d_in refusal
+    rates = {Fraction(p, q) for p in (1, 2, 3, 5, 8) for q in (1, 2, 3, 7, 9)}
+    for d_out in list(range(1, 25)) + [36, 60, 97, 120, 360, 1000]:
+        for r, min_h, d_in, shared in itertools.product(
+                rates, range(1, min(d_out, 10) + 1), (240, 7),
+                (False, True)):
+            want = _size_fcu_by_search(d_in, d_out, r, min_h, shared)
+            try:
+                got = size_fcu(d_in, d_out, r, min_h, shared)
+            except AllocError:
+                got = None
+            assert got == want, (d_in, d_out, r, min_h, shared)
 
 
 def test_alloc_conv_maxpool():

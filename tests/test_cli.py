@@ -170,6 +170,13 @@ def test_simulate_trace_filter(capsys, rex_file):
     assert all("F1" in e["signal"] for e in doc["events"])
 
 
+def test_simulate_trace_drops_empty_parts(capsys, rex_file):
+    # an empty part would match every signal and print every layer's events
+    _, alone, _ = run(capsys, "simulate", rex_file, "--trace", "C2")
+    code, out, _ = run(capsys, "simulate", rex_file, "--trace", "C2,")
+    assert code == 0 and out == alone
+
+
 def test_trace_command_fc(capsys, rex_file):
     code, out, _ = run(capsys, "trace", rex_file, "--layer", "F1", "--zero")
     assert code == 0
@@ -459,6 +466,53 @@ def rate_float(tmp_path):
 
 
 @pytest.fixture()
+def rate_text(tmp_path):
+    return _rex_edited(tmp_path, lambda d: d["input"].update(rate="x"))
+
+
+@pytest.fixture()
+def doc_list(tmp_path):
+    return _doc_file(tmp_path, [])
+
+
+@pytest.fixture()
+def layer_row_int(tmp_path):
+    return _rex_edited(tmp_path, lambda d: d["layers"].insert(1, 1))
+
+
+@pytest.fixture()
+def input_not_square(tmp_path):
+    return _rex_edited(tmp_path, lambda d: d["input"].update(width=23))
+
+
+@pytest.fixture()
+def json_truncated(tmp_path):
+    with open(data_path("running_example.json")) as fh:
+        return _write(tmp_path, fh.read()[:40])
+
+
+@pytest.fixture()
+def missing_file(tmp_path):
+    return str(tmp_path / "missing")
+
+
+def _tensor_file(tmp_path, shape):
+    path = str(tmp_path / "x.bin")
+    save_tensor(path, gen_random(shape, 0, 8))
+    return path
+
+
+@pytest.fixture()
+def input_23x24(tmp_path):
+    return _tensor_file(tmp_path, (23, 24, 1))
+
+
+@pytest.fixture()
+def input_two_channels(tmp_path):
+    return _tensor_file(tmp_path, (24, 24, 2))
+
+
+@pytest.fixture()
 def internal_input_text(tmp_path):
     return _rex_edited(tmp_path, lambda d: d["layers"].insert(1, {
         "kind": "pw_conv", "d_out": 8, "internal_input": "no"}))
@@ -547,6 +601,9 @@ def _bad(*argv, doc="rex_file", on=None):
     _bad("sweep", "--layer", "C1", "--rates", "0"),
     _bad("sweep", "--layer", "C1", "--rates", "-1"),
     _bad("sweep", "--layer", "C2", "--rates", ","),
+    _bad("sweep", "--layer", "C2", "--rates", "abc"),
+    _bad("sweep", "--layer", "nosuch", "--rates", "1"),
+    _bad("simulate", "--trace", ","),
     # only a conv or a depthwise stage with its pointwise partner sweeps:
     # not a pool, a fully connected layer or an unpaired depthwise layer
     _bad("sweep", "--layer", "P1", "--rates", "8"),
@@ -571,6 +628,11 @@ def _bad(*argv, doc="rex_file", on=None):
     _bad("simulate", "--weights", "@c1_string_kernel"),
     _bad("simulate", "--weights", "@c1_bool_kernel"),
     _bad("simulate", "--weights", "@c1_bool_among_ints"),
+    _bad("simulate", "--weights", "@missing_file"),
+    # input fixtures that cannot be read or do not match the 24x24x1 input
+    _bad("simulate", "--input", "@missing_file"),
+    _bad("simulate", "--input", "@input_23x24"),
+    _bad("simulate", "--input", "@input_two_channels"),
     # an average pool takes no parameters
     _bad("simulate", "--weights", "@a1_kernel", doc="avgpool_file"),
     # a depthwise row carrying the lowering's kernel or divisor
@@ -591,6 +653,11 @@ def _bad(*argv, doc="rex_file", on=None):
     _bad("plan", doc="name_of_default", on="a name equal to a default"),
     _bad("analyze", doc="rate_true", on='"rate": true'),
     _bad("analyze", doc="rate_float", on='"rate": 0.1'),
+    _bad("analyze", doc="rate_text", on='"rate": "x"'),
+    _bad("plan", doc="doc_list", on="a document that is []"),
+    _bad("plan", doc="layer_row_int", on="a layer row that is 1"),
+    _bad("plan", doc="input_not_square", on="a 24x23 input"),
+    _bad("plan", doc="json_truncated", on="truncated JSON"),
     _bad("plan", doc="internal_input_text", on='"internal_input": "no"'),
     _bad("plan", doc="internal_input_on_conv",
          on='"internal_input": true on a conv'),

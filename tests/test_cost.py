@@ -3,12 +3,12 @@ from fractions import Fraction
 import pytest
 
 from flowcnn.alloc import plan_network
-from flowcnn.cost import (SCOPE_TABLE6, SCOPE_TABLE7, SCOPE_TABLE9, ZERO,
+from flowcnn.cost import (SCOPE_TABLE6, SCOPE_TABLE7, SCOPE_TABLE9,
                           ResourceVector, accumulator_cost, approx_display,
                           bias_cost, display_range, fcu_cost,
                           fully_parallel_reference_cost, interleaver_cost,
                           kpu_cost, layer_cost, network_cost, ppu_cost,
-                          sweep_rates)
+                          sum_vectors, sweep_rates)
 from flowcnn.models import mobilenet_v1, running_example
 from flowcnn.netspec import LayerKind
 
@@ -48,9 +48,9 @@ def test_depthwise_bias_streams_carry_c_channels():
                 continue
             cycling += e.configs > 1
             per_kpu = -(-e.layer.d_out // e.n_kpu)
-            assert layer_cost(e, SCOPE_TABLE6, None) \
-                == layer_cost(e, SCOPE_TABLE7, None) \
-                + bias_cost(e.layer.d_out, per_kpu)
+            assert layer_cost(e, SCOPE_TABLE6, None) == sum_vectors([
+                layer_cost(e, SCOPE_TABLE7, None),
+                bias_cost(e.layer.d_out, per_kpu)])
     assert cycling
 
 
@@ -154,7 +154,7 @@ def test_sweep_row_is_table7_pricing_of_the_plan(spec, n_swept):
                             [plan.layers[i].rate.r_in], separable=n == 2,
                             s=ly.s)
         rows = report.rows[i:i + n]
-        assert row.vector == sum((r.vector for r in rows), ZERO), i
+        assert row.vector == sum_vectors(r.vector for r in rows), i
         assert (row.n_kpu, row.n_fcu, row.stalled) == (
             sum(r.n_kpu for r in rows), sum(r.n_fcu for r in rows),
             rows[0].stalled), i
@@ -240,5 +240,7 @@ def test_display_round_trip():
 def test_resource_vector_addition():
     a = ResourceVector(1, 2, 3, 4, 5, 6)
     b = ResourceVector(10, 20, 30, 40, 50, 60)
-    assert a + b == ResourceVector(11, 22, 33, 44, 55, 66)
+    assert sum_vectors([a, b]) == ResourceVector(11, 22, 33, 44, 55, 66)
+    assert sum_vectors([a, b, a]) == ResourceVector(12, 24, 36, 48, 60, 72)
+    assert sum_vectors([]) == ResourceVector()
     assert a.scaled(3) == ResourceVector(3, 6, 9, 12, 15, 18)

@@ -16,7 +16,7 @@ from flowcnn.rate import (Flow, map_stream, pad_gates, propagate_rates,
 from flowcnn.sim import engine
 from flowcnn.sim.engine import (SimConfigError, _chain, _input_layer, _paced,
                                 _product_dtype, _window_values,
-                                simulate_network)
+                                signal_events, simulate_network)
 from flowcnn.sim.units import FcuUnit, KpuUnit, WidthOverflow, _check_width
 
 
@@ -466,6 +466,30 @@ def test_width_overflow_fcu_checks_running_sums():
         _overflow_case(layers, 2, 1, x, w, 15)
     res = _overflow_case(layers, 2, 1, x, w, 16)
     assert res.outputs[0].ravel().tolist() == [0]
+
+
+def test_signal_events_skip_only_layers_no_string_matches():
+    spec = running_example()
+    res = simulate_network(plan_network(spec), gen_network_weights(spec, 1),
+                           gen_random((24, 24, 1), 1, 8))
+    every = signal_events(spec, res)
+    # names, a name across its suffix, suffix-only strings and a miss
+    for wanted in (("F1",), ("P", "C2"), ("2.y[1",), ("y[0,",), ("1]",),
+                   ("x",)):
+        assert signal_events(spec, res, wanted) == \
+            [e for e in every if any(w in e[1] for w in wanted)]
+
+
+def test_width_overflow_checks_channel_accumulation():
+    # C2's windows fit 27 bits on the running example, but their sums over
+    # its 8 input channels reach |109,652,235| before the bias: 28 bits
+    spec = running_example()
+    weights = gen_network_weights(spec, 0)
+    x = gen_random((24, 24, 1), 0, 8)
+    with pytest.raises(WidthOverflow, match=r"^KPU channel accumulation: "
+                       r"\|109652235\| does not fit signed 27-bit"):
+        simulate_network(_with_width(plan_network(spec), 2, 27), weights, x)
+    simulate_network(_with_width(plan_network(spec), 2, 28), weights, x)
 
 
 @pytest.mark.parametrize("tail", [[], [{"kind": "fc", "d_out": 2}]])
