@@ -133,10 +133,14 @@ def ref_fc(x_flat: np.ndarray, w: np.ndarray,
 
 
 def wrap_to_width(x: np.ndarray, bits: int) -> np.ndarray:
-    """Two's-complement truncation used by the optional requantize mode."""
-    span = 1 << bits
-    half = span >> 1
-    return (x + half) % span - half
+    """Two's-complement truncation used by the optional requantize mode:
+    (x + half) mod 2**bits - half, as a mask of the low bits, which stays
+    exact when x + half wraps in int64; at 64 bits or more every int64 is
+    its own truncation."""
+    if bits >= 64:
+        return x
+    half = 1 << (bits - 1)
+    return ((x + half) & ((1 << bits) - 1)) - half
 
 
 def apply_layer(layer: LayerSpec, x: np.ndarray, w, bias) -> np.ndarray:

@@ -49,23 +49,11 @@ def output_rate(d_in: int, d_out: int, r_in: Rate, s: int) -> Rate:
     return Fraction(d_out) * r_in / (d_in * s * s)
 
 
-def output_valid(n: int, f: int, k: int, s: int, p: int) -> bool:
-    """Whether the sliding window anchored at position n yields an output.
-
-    n = r*f + c indexes the (implicitly padded) stream; the window is valid
-    when both r and c lie in {0, s, 2s, ..., f - k + 2p}.
-    """
-    if not 0 <= n < f * f:
-        raise ValueError(f"position {n} outside feature map of side {f}")
-    r, c = divmod(n, f)
-    hi = f - k + 2 * p
-    return r <= hi and c <= hi and r % s == 0 and c % s == 0
-
-
 def valid_output_positions(f: int, k: int, s: int, p: int) -> np.ndarray:
     """Positions n = r*f + c of the valid windows in row-major order: the
-    grid of rows and columns 0, s, 2s, ..., f - k + 2p (output_valid in
-    closed form; 2p <= k-1 keeps the grid inside the map)."""
+    grid of rows and columns 0, s, 2s, ..., f - k + 2p, where a window
+    anchored at row r and column c yields an output (2p <= k-1 keeps the
+    grid inside the map)."""
     g = np.arange(0, f - k + 2 * p + 1, s)
     return (g[:, None] * f + g).ravel()
 

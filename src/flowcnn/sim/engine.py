@@ -17,14 +17,20 @@ Output stamps, first cycles, busy counts, FIFO occupancy and signal events
 all follow from it in closed form.  The values follow from the delay-line
 formula in array form: a KPU or PPU window is a fixed sum or max of taps
 that streamed in a fixed number of positions earlier, and an FCU neuron is
-a running sum over its batches.  Every KPU and PPU layer -- standard conv,
-depthwise conv (lowered average pooling included) and max pooling -- runs
-through one window function (`_window_values`): per input channel a tap
-matrix, reduced by a kernel matrix (every output channel), by the
-channel's own kernel or by a max.  It runs in float64 when the exact bound
-max|x| * max sum|w| (max|x| for a max) is below 2**53 and in int64
-otherwise.  Each (input, output) channel pair's windows are width-checked
-there, and a standard conv's sums over its input channels after it.  The
+a running sum over its batches.  Each layer's values are computed once, at
+its valid outputs only, over all input channels at once.  Every KPU and
+PPU layer -- standard conv, depthwise conv (lowered average pooling
+included) and max pooling -- gathers the taps of a chunk of valid windows
+from its feed (`_windows`) and reduces them by the (k*k*d_in, d_out)
+kernel matrix, by an einsum over each channel's own kernel or by a max; an
+FCU layer is one product over all features per (map, pixel), as the batch
+order cannot change the sum.  A matrix product runs in float64 (BLAS) when
+the exact bound max|x| * max sum|w| over one output channel's taps is below
+2**53 and in int64 otherwise.  The width checks see every (input, output)
+channel pair's window at every stream position and every FCU running sum
+after every batch, but that scan runs only when the bound over one pair
+(`_product_gates`) cannot prove that they fit; a standard conv's sums over
+its input channels are checked at its valid outputs.  The
 cycle-stepped units in `units` are the reference model this formula is
 tested against.  Values may carry trailing trial dimensions; the whole
 simulation is then batched across trials with identical control flow.
@@ -42,13 +48,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..alloc import ArchitecturePlan, FcuAllocation, LayerAllocation
 from ..netspec import LayerKind, NetworkSpec
 from ..oracle import wrap_to_width
 from ..rate import map_stream, pad_gates, valid_output_positions
-from .units import _check_width, _peak
+from .units import _check_width, _extremes, _peak
 
 CHUNK_ELEMENTS = 1 << 18   # bound on a tap or product chunk of a window
 EXACT_FLOAT = 1 << 53      # float64 adds integers below this exactly
@@ -89,8 +94,10 @@ def _fifo_stats(arrivals: np.ndarray, departures: np.ndarray) -> int:
     """Peak occupancy of a FIFO given every entry's arrival and departure
     cycle; a departure frees its entry before an arrival in the same cycle,
     so the depth peaks right after some arrival."""
-    arr = np.sort(arrivals, axis=None)
-    gone = np.searchsorted(np.sort(departures, axis=None), arr, side="right")
+    # stamps come in runs of nearly sorted values, which timsort merges
+    arr = np.sort(arrivals, axis=None, kind="stable")
+    gone = np.searchsorted(np.sort(departures, axis=None, kind="stable"), arr,
+                           side="right")
     return int((np.arange(1, arr.size + 1) - gone).max())
 
 
@@ -147,105 +154,130 @@ def _chain(ready_at: np.ndarray, glen: int) -> np.ndarray:
     return lead + late
 
 
-def _product_dtype(values: np.ndarray, w):
-    """The dtype a layer's tap matrices and their reductions run in.
+def _product_gates(values: np.ndarray, w, bits: int | None):
+    """(dtype, scan) of a layer's values, from exact bounds in Python ints.
 
-    max|values| * max over (oc, ch) of sum |w[oc, ch]| bounds every partial
-    sum of every window, in any order of addition; a max of taps (w None)
-    is bounded by max|values|.  Below 2**53 float64 (BLAS) holds those
-    integers exactly; otherwise int64 wraps them mod 2**64 as the delay line
-    does.  The bound is computed in Python ints.
+    w is a standard (d_out, d_in, k, k) or depthwise (d, 1, k, k) kernel,
+    plus the values' trial axes when stacked, or None for a max of taps; an
+    FCU passes its weights as (d_out, 1, flat, 1), one pair per neuron.
+    max|values| times the largest sum |w| over the taps of one (oc, ch) pair
+    bounds every partial sum of the pair in any order of addition, an FCU's
+    running sums included; a max of taps lies between the least and the
+    greatest of the values, or is a zero tap, which fits.  No width check
+    can fire when that range fits a signed register of bits, so scan is
+    False there and at bits None or 64 and more.  The bound summed over an
+    output channel's input channels bounds the product over all channels:
+    below 2**53 float64 (BLAS) holds its integers exactly; otherwise int64
+    wraps them mod 2**64 as the delay line does.
     """
-    if w is None:
-        w_sum = 1
-    elif _peak(w) * w.shape[2] * w.shape[3] < 1 << 63:   # |w| sums fit int64
-        w_sum = int(np.abs(w).sum(axis=(2, 3)).max())
-    else:
-        w_sum = int(np.abs(w.astype(object)).sum(axis=(2, 3)).max())
-    return np.float64 if _peak(values) * w_sum < EXACT_FLOAT else np.int64
+    lo, hi = _extremes(values)
+    total = max(-lo, hi)
+    if w is not None:
+        big = _peak(w) * math.prod(w.shape[1:4]) >= 1 << 63
+        sums = np.abs(w.astype(object) if big else w).sum(axis=(2, 3))
+        pair = total * int(sums.max())
+        lo, hi, total = -pair, pair, total * int(sums.sum(1).max())
+    scan = bits is not None and bits < 64 and (
+        lo < -(1 << (bits - 1)) or hi >= 1 << (bits - 1))
+    return (np.float64 if total < EXACT_FLOAT else np.int64), scan
+
+
+def _matmul(rows: np.ndarray, kern: np.ndarray) -> np.ndarray:
+    """rows (n, K, sets, u) times kern (sets, K, d_out) in kern's dtype: (n,
+    d_out, sets * u).  One weight set multiplies every row's u trials at
+    once; sets of one trial each are one matrix product per set."""
+    rows = rows.astype(kern.dtype, copy=False)
+    if rows.shape[3] > 1:
+        return kern[0].T @ rows[:, :, 0]
+    return (rows[:, :, :, 0].transpose(2, 0, 1) @ kern).transpose(1, 2, 0)
+
+
+def _windows(values: np.ndarray, w, gate: np.ndarray, f: int,
+             x_pos: np.ndarray, wins: np.ndarray, dtype):
+    """Yield (a, b, results) over chunks of the windows completing at
+    stream positions wins[a:b]; results is (b - a, d_out, trials).
+
+    Tap (i, m) of the window completing at stream position t reads the
+    input at t + i*f + m, times its column-m gate (pad_gates): the input D =
+    (k-1-i)*f + (k-1-m) positions earlier, on a stream led by (k-1)*(f+1)
+    zeros (the registers start at zero) with the pixels at x_pos and zeros
+    at padding positions.  A chunk's taps are gathered from the values by
+    pixel, every input channel at once: (windows, k*k, d_in, *TS).  With w
+    as in `_product_gates`, a standard conv is one (k*k*d_in) x d_out
+    product per weight set in dtype, a depthwise conv an int64 einsum over
+    each channel's k*k taps and a PPU (w None) their max; int64 wraps mod
+    2**64 as the delay line does.
+    """
+    d_in = values.shape[2]
+    n_trials = math.prod(values.shape[3:])
+    k = gate.shape[1]
+    kk = k * k
+    d_out, sets = d_in, 1
+    if w is not None:
+        d_out, sets = w.shape[0], n_trials if w.ndim > 4 else 1
+        # a standard kernel as kern[set, tap*d_in + ch, oc], a depthwise
+        # one as kern[ch, tap, set]
+        kern = w.reshape(d_out, d_in, kk, sets).transpose(3, 2, 1, 0) \
+            .reshape(sets, kk * d_in, d_out).astype(dtype) \
+            if w.shape[1] == d_in else w.reshape(d_in, kk, sets)
+    # src[t]: the pixel streaming in at position t; a tap is zero where its
+    # column's gate is or at a padding position, which reads pixel 0
+    pixels = values.reshape(-1, d_in, n_trials)
+    src = np.full(len(gate), -1, dtype=np.intp)
+    src[x_pos.ravel()] = np.arange(len(pixels))
+    dead = (gate == 0) | (src < 0)[:, None]
+    np.maximum(src, 0, out=src)
+    offsets = (np.arange(k)[:, None] * f + np.arange(k)).ravel()
+    cols = np.tile(np.arange(k), k)
+    step = max(1, CHUNK_ELEMENTS // (n_trials * max(kk * d_in, d_out)))
+    for a in range(0, wins.size, step):
+        at = wins[a:a + step, None] + offsets      # (windows, k*k)
+        taps = pixels[src[at]]
+        off = dead[at, cols]
+        if off.any():
+            taps[off] = 0
+        taps = taps.reshape(len(at), kk, d_in, sets, -1)
+        if w is None:
+            res = taps.max(axis=1)
+        elif w.shape[1] == d_in:
+            res = _matmul(taps.reshape(len(at), kk * d_in, sets, -1), kern)
+        else:
+            res = np.einsum("ctdsu,dts->cdsu", taps, kern)
+        yield a, a + len(at), res.reshape(len(at), d_out, n_trials)
 
 
 def _window_values(values: np.ndarray, w, gate: np.ndarray, f: int,
                    x_pos: np.ndarray, win_pos: np.ndarray,
                    bits: int | None) -> np.ndarray:
-    """A KPU or PPU layer's window results at the valid output positions:
-    (n_maps, n_out, d_out, *TS).
+    """A KPU or PPU layer's window results at the valid output positions
+    win_pos: (n_maps, n_out, d_out, *TS), from `_windows`.
 
-    Tap (i, m) of the window completing at stream position t reads the
-    input x[t + i*f + m], times its column-m gate (pad_gates): the input D =
-    (k-1-i)*f + (k-1-m) positions earlier, on a stream led by (k-1)*(f+1)
-    zeros (the registers start at zero) with the pixels at x_pos and zeros
-    at padding positions.  Per input channel the taps form a (k*k,
-    positions, *TS) matrix, built in chunks of positions so that memory
-    stays bounded.  w is a grouped kernel (d_out, d_in / groups, k, k),
-    plus the values' trial axes when stacked.  A standard conv (one
-    group) multiplies the taps by the (d_out, k*k) kernel matrix into every
-    output channel; a depthwise conv ((d, 1, k, k): a group per channel) by
-    channel ch's own (1, k*k) kernel into output channel ch; a PPU (w None)
-    takes their max into output channel ch.  Row oc of a channel's result
-    is the window array of pair (ch, oc), invalid windows included; its
-    peak passes the width check in (ch, oc) order.
+    When the bound of `_product_gates` cannot prove that every (input,
+    output) channel pair fits bits, the pairs are width-checked first, in
+    (ch, oc) order, at every stream position, invalid windows included:
+    pair (ch, oc) is channel ch alone through w[oc, ch] (a standard conv),
+    through its own kernel (depthwise) or a max, kept only as a min and max.
     """
     d_in = values.shape[2]
-    ts = values.shape[3:]
-    n_trials = math.prod(ts)
-    k = gate.shape[1]
-    kk = k * k
-    group_in, d_out = (1, d_in) if w is None else (w.shape[1], w.shape[0])
-    group_out = d_out * group_in // d_in      # output channels per group
-    where = "PPU window max" if w is None else "KPU window sum"
-    sets = n_trials if w is not None and w.ndim > 4 else 1
-    dtype = _product_dtype(values, w)
-    if w is not None:
-        # kernels[j, set]: the (d_out, k*k) kernel matrix of input j of
-        # every group, one per set of n_trials // sets trials
-        kernels = w.reshape(d_out, group_in, kk, sets) \
-            .transpose(1, 3, 0, 2).astype(dtype)
-    length = len(gate)
-    n_pos = length - (k - 1) * (f + 1)
-    # gated[m, t]: the column-m gate of the input at t + m; None unpadded
-    gated = None if gate.all() else np.stack(
-        [gate[m:length - k + 1 + m, m] for m in range(k)]) \
-        .astype(dtype)[:, :, None]
-    x = np.zeros((length, n_trials), dtype=dtype)
-    rows = sliding_window_view(x, k, axis=0)      # rows[t, :, m] = x[t + m]
+    dtype, scan = _product_gates(values, w, bits)
+    every = np.arange(len(gate) - (gate.shape[1] - 1) * (f + 1))
+    for ch in range(d_in if scan else 0):
+        only = None if w is None else \
+            w[:, ch:ch + 1] if w.shape[1] == d_in else w[ch:ch + 1]
+        ends = [(res.min(axis=(0, 2)), res.max(axis=(0, 2)))
+                for _, _, res in _windows(values[:, :, ch:ch + 1], only, gate,
+                                          f, x_pos, every, dtype)]
+        lows, highs = zip(*ends)
+        for lo, hi in zip(np.min(lows, axis=0), np.max(highs, axis=0)):
+            _check_width(np.array([lo, hi]), bits, "PPU window max"
+                         if w is None else "KPU window sum")
     wins = win_pos.ravel()
-    acc = np.zeros((wins.size, d_out, sets, n_trials // sets), dtype=np.int64)
-    step = max(1, CHUNK_ELEMENTS // (n_trials * max(kk, group_out)))
-    # chunk [a, b) of positions holds the valid windows wins[j0:j1]
-    edges = np.append(np.arange(0, n_pos, step), n_pos)
-    cuts = np.searchsorted(wins, edges)
-    chunks = list(zip(edges[:-1], edges[1:], cuts[:-1], cuts[1:]))
-    for ch in range(d_in):
-        g = ch // group_in
-        outs = slice(g * group_out, (g + 1) * group_out)
-        x[x_pos.ravel()] = values[:, :, ch].reshape(-1, n_trials)
-        lows, highs = [], []
-        for a, b, j0, j1 in chunks:
-            c = b - a
-            taps = np.empty((k, k, c, n_trials), dtype=dtype)
-            for i in range(k):
-                t = slice(a + i * f, a + i * f + c)
-                if gated is None:
-                    taps[i] = rows[t].transpose(2, 0, 1)
-                else:
-                    np.multiply(rows[t].transpose(2, 0, 1), gated[:, t],
-                                out=taps[i])
-            if w is None:
-                prod = taps.reshape(kk, 1, -1).max(axis=0)[None]
-            else:
-                prod = kernels[ch % group_in, :, outs] @ taps \
-                    .reshape(kk, c, sets, -1).transpose(2, 0, 1, 3) \
-                    .reshape(sets, kk, -1)
-            lows.append(prod.min(axis=(0, 2)))
-            highs.append(prod.max(axis=(0, 2)))
-            sel = prod.reshape(sets, group_out, c, -1)[:, :, wins[j0:j1] - a]
-            acc[j0:j1, outs] += \
-                sel.astype(np.int64, copy=False).transpose(2, 1, 0, 3)
-        extremes = np.stack((np.min(lows, axis=0), np.max(highs, axis=0)))
-        for oc in range(group_out):
-            _check_width(extremes[:, oc], bits, where)
-    return acc.reshape(win_pos.shape + (d_out,) + ts)
+    d_out = d_in if w is None else w.shape[0]
+    out = np.empty((wins.size, d_out) + values.shape[3:], dtype=np.int64)
+    flat = out.reshape(wins.size, d_out, -1)
+    for a, b, res in _windows(values, w, gate, f, x_pos, wins, dtype):
+        flat[a:b] = res
+    return out.reshape(win_pos.shape + out.shape[1:])
 
 
 def _run_conv_like(entry: LayerAllocation, feed: LayerSim, w,
@@ -343,13 +375,27 @@ def _run_fcu_layer(entry: LayerAllocation, name: str, feed: LayerSim,
     first_cycle = [int(c) for c in start[:, 0, 0]]
 
     # Datapath: each batch adds its j products to every neuron's running
-    # sum, which the unit's width check sees after every batch.
-    x = feed.values.reshape((n_maps, n_pixels, flat_width) + ts)
-    out_vals = np.zeros((n_maps, n_pixels, ly.d_out) + ts, dtype=np.int64)
-    for feats in batches:
-        out_vals += np.einsum("mpj...,oj...->mpo...", x[:, :, feats],
-                              w[:, feats])
-        _check_width(out_vals, entry.acc_width, "FCU accumulation")
+    # sum, which the unit's width check sees after every batch; the feature
+    # order cannot change an exact or a mod 2**64 sum, so the values are one
+    # product over all features per (map, pixel).
+    x = feed.values.reshape((n_maps * n_pixels, flat_width) + ts)
+    dtype, scan = _product_gates(x, w[:, None, :, None], entry.acc_width)
+    if scan:
+        run = 0
+        for feats in batches:
+            run = run + np.einsum("rj...,oj...->ro...", x[:, feats],
+                                  w[:, feats])
+            _check_width(run, entry.acc_width, "FCU accumulation")
+    n_trials = math.prod(ts)
+    sets = n_trials if w.ndim > 2 else 1
+    kern = w.reshape(ly.d_out, flat_width, sets).transpose(2, 1, 0) \
+        .astype(dtype)
+    rows = x.reshape(len(x), flat_width, sets, -1)
+    out_vals = np.empty((len(x), ly.d_out, n_trials), dtype=np.int64)
+    step = max(1, CHUNK_ELEMENTS // (n_trials * max(flat_width, ly.d_out)))
+    for a in range(0, len(x), step):
+        out_vals[a:a + step] = _matmul(rows[a:a + step], kern)
+    out_vals = out_vals.reshape((n_maps, n_pixels, ly.d_out) + ts)
 
     if bias is not None:
         out_vals += bias

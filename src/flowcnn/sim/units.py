@@ -52,7 +52,7 @@ def _peak(value) -> int:
 def _check_width(value, bits: int | None, where: str) -> None:
     """Refuse a value outside a signed two's-complement register of bits,
     [-2**(bits-1), 2**(bits-1)); at 64 bits or more every int64 fits."""
-    if bits is None:
+    if bits is None or bits >= 64:
         return
     lo, hi = _extremes(value)
     if lo < -(1 << (bits - 1)) or hi >= 1 << (bits - 1):

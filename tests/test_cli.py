@@ -243,6 +243,20 @@ def test_most_negative_activation_fits(capsys, tmp_path, command):
         assert "-128" in out
 
 
+@pytest.mark.parametrize("bits", [63, 64])
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_truncate_at_the_widest_activations(capsys, tmp_path, rex_file,
+                                            command, bits):
+    # 64 bits is the document's limit; truncation must not overflow there
+    doc = json.loads(Path(rex_file).read_text())
+    doc["quant"]["activation_bits"] = bits
+    code, out, err = run(capsys, command, _doc_file(tmp_path, doc),
+                         "--truncate")
+    assert (code, err) == (0, "")
+    assert ("all 10 trials bit-exact" if command == "compare"
+            else "cycles:") in out
+
+
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_notes_only_commands_offer_no_csv(capsys, rex_file, command):
     with pytest.raises(SystemExit) as exc:

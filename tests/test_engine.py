@@ -15,7 +15,7 @@ from flowcnn.rate import (Flow, map_stream, pad_gates, propagate_rates,
                           valid_output_positions)
 from flowcnn.sim import engine
 from flowcnn.sim.engine import (SimConfigError, _chain, _input_layer, _paced,
-                                _product_dtype, _window_values,
+                                _product_gates, _window_values,
                                 signal_events, simulate_network)
 from flowcnn.sim.units import FcuUnit, KpuUnit, WidthOverflow, _check_width
 
@@ -677,6 +677,11 @@ def _check_window_values(kind, k, f, p, s, d_in, d_out, n_maps, trials,
         assert np.array_equal(got, want)
 
 
+def _product_dtype(values, w):
+    """The dtype half of `_product_gates`."""
+    return _product_gates(values, w, None)[0]
+
+
 def test_product_dtype_at_the_exact_bound():
     # float64 adds integers exactly below 2**53: the bound max|x| * max over
     # (oc, ch) of sum |w[oc, ch]| picks float64 below it and int64 from it
@@ -697,6 +702,49 @@ def test_product_dtype_at_the_exact_bound():
     # a max of taps (no kernel) is bounded by max|x| alone
     assert _product_dtype(np.array([3, -(2**53 - 1)]), None) is np.float64
     assert _product_dtype(np.array([2**53, -3]), None) is np.int64
+
+
+@pytest.mark.parametrize("x, w, bits, dtype, scan", [
+    # the pair bound max|x| * max sum |w[oc, ch]| against 2**(bits-1)
+    ([127, -1], np.ones((1, 1, 1, 1)), 8, np.float64, False),
+    ([-128, 1], np.ones((1, 1, 1, 1)), 8, np.float64, True),
+    ([1], np.array([[[[1, 1]]], [[[64, -64]]]]), 8, np.float64, True),
+    ([1], np.array([[[[1, 1]]], [[[63, -64]]]]), 8, np.float64, False),
+    ([3], np.full((1, 1, 1, 1), 2**61), 63, np.int64, True),
+    ([3], np.full((1, 1, 1, 1), 2**61), 64, np.int64, False),
+    ([3], np.full((1, 1, 1, 1), 2**61), None, np.int64, False),
+    # a max lies between the least and the greatest tap, zero included
+    ([127, -128], None, 8, np.float64, False),
+    ([128, 3], None, 8, np.float64, True),
+    ([-129, -3], None, 8, np.float64, True),
+    # the dtype gate sums the pair bound over the input channels: 2**52
+    # per pair, 2**53 over d_in = 2
+    ([2**52], np.ones((3, 2, 1, 1)), None, np.int64, False),
+    ([2**52 - 1], np.ones((3, 2, 1, 1)), 54, np.float64, False),
+    ([2**52], np.ones((3, 2, 1, 1)), 53, np.int64, True),
+])
+def test_product_gates_at_the_exact_edges(x, w, bits, dtype, scan):
+    w = None if w is None else w.astype(np.int64)
+    assert _product_gates(np.array(x), w, bits) == (dtype, scan)
+
+
+@pytest.mark.parametrize("sign, low, message", [
+    (1, -128, None),     # the bound reaches 2**7, no window does
+    (-1, -127, None),    # the bound stays below 2**7: no scan
+    (-1, -128, "KPU window sum: |128| does not fit signed 8-bit"),
+])
+def test_width_check_fires_only_on_a_window_at_the_edge(sign, low, message):
+    x = np.random.default_rng(6).integers(low, 128, size=16)
+    x[5] = low
+    w = np.full((1, 1, 1, 1), sign, dtype=np.int64)
+    layer = {"kind": "conv", "k": 1, "d_out": 1}
+    if message is None:
+        res = _overflow_case([layer], 4, 1, x, w, 8)
+        assert res.outputs[0].ravel().tolist() == (sign * x).tolist()
+    else:
+        with pytest.raises(WidthOverflow) as exc:
+            _overflow_case([layer], 4, 1, x, w, 8)
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("layer", [

@@ -154,6 +154,16 @@ def test_gen_random_reproducible():
 def test_wrap_to_width():
     vals = np.array([127, 128, -129, 255, 256], dtype=np.int64)
     assert wrap_to_width(vals, 8).tolist() == [127, -128, 127, -1, 0]
+    # (x + half) mod 2**bits - half in Python ints, for int64 values whose
+    # x + half wraps in int64 too
+    edges = np.array([-2**63, -2**63 + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1])
+    seeded = np.random.default_rng(5).integers(-2**63, 2**63 - 1, size=500,
+                                                endpoint=True)
+    for x in (edges, seeded):
+        for bits in (1, 8, 63, 64):
+            half = 1 << (bits - 1)
+            assert wrap_to_width(x, bits).tolist() == \
+                [(v + half) % (1 << bits) - half for v in x.tolist()]
 
 
 def test_weights_json_roundtrip(rex_spec):

@@ -8,13 +8,14 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from brute_force import output_valid
 from flowcnn.alloc import alloc_conv, plan_network
 from flowcnn.cost import kpu_cost, accumulator_cost, sweep_rates
 from flowcnn.models import random_network
 from flowcnn.netspec import LayerKind, parse_network, serialize_network
 from flowcnn.oracle import (gen_network_weights, gen_random, ref_conv2d,
                             weights_to_json)
-from flowcnn.rate import output_valid, valid_output_positions
+from flowcnn.rate import valid_output_positions
 from flowcnn.sim.engine import signal_events, simulate_network
 
 POW2_RATES = [Fraction(8), Fraction(4), Fraction(2), Fraction(1),

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from brute_force import output_valid
 from flowcnn.netspec import LayerKind, LayerSpec
-from flowcnn.rate import (Flow, classify_flow, output_rate, output_valid,
-                          pad_gates, propagate_rates, valid_output_positions)
+from flowcnn.rate import (Flow, classify_flow, output_rate, pad_gates,
+                          propagate_rates, valid_output_positions)
 
 
 def test_output_rate_table_values():
