@@ -13,8 +13,10 @@ Units only advance on enabled cycles (clock gating), so unit state is a pure
 function of the slot sequence, and each layer is computed in two parts.  The
 schedule is one exact integer array per layer: the start cycle of every
 group (a stream position of `glen` slots, or an FCU batch of `h` slots).
-Output stamps, first cycles, busy counts, FIFO occupancy and signal events
-all follow from it in closed form.  The values follow from the delay-line
+Output stamps, first cycles, busy counts, signal events and FIFO peaks
+(each FIFO's largest end-of-cycle occupancy, counted on the cycle axis, or
+from sorted stamps past a span of COUNT_SPAN cycles per entry) all follow
+from it in closed form.  The values follow from the delay-line
 formula in array form: a KPU or PPU window is a fixed sum or max of taps
 that streamed in a fixed number of positions earlier, and an FCU neuron is
 a running sum over its batches.  Each layer's values are computed once, at
@@ -57,6 +59,7 @@ from .units import _check_width, _extremes, _peak
 
 CHUNK_ELEMENTS = 1 << 18   # bound on a tap or product chunk of a window
 EXACT_FLOAT = 1 << 53      # float64 adds integers below this exactly
+COUNT_SPAN = 1.5           # most cycles per FIFO entry counted, not sorted
 
 
 class SimConfigError(Exception):
@@ -90,15 +93,28 @@ class SimResult:
     layers: list[LayerSim]        # each layer's own output, not truncated
 
 
-def _fifo_stats(arrivals: np.ndarray, departures: np.ndarray) -> int:
-    """Peak occupancy of a FIFO given every entry's arrival and departure
-    cycle; a departure frees its entry before an arrival in the same cycle,
-    so the depth peaks right after some arrival."""
-    # stamps come in runs of nearly sorted values, which timsort merges
-    arr = np.sort(arrivals, axis=None, kind="stable")
-    gone = np.searchsorted(np.sort(departures, axis=None, kind="stable"), arr,
-                           side="right")
-    return int((np.arange(1, arr.size + 1) - gone).max())
+def _fifo_stats(arrivals: np.ndarray, departures: np.ndarray,
+                per_departure: int = 1) -> int:
+    """Peak occupancy of a FIFO whose entries arrive at the arrival stamps
+    and leave per_departure at each departure stamp.  A departure frees its
+    entry before an arrival in the same cycle, so the peak is the largest
+    end-of-cycle occupancy: the arrivals' bincount less the departures', on
+    the cycle axis from the first arrival lo to the last departure, summed
+    in place.  That holds max(N + span, M + 2 span) int64s for N entries and
+    M departure stamps, within the sort's 4 N while span <= COUNT_SPAN * N;
+    wider spans (stamps reach 2**63) sort the stamps instead.
+    """
+    n, lo = arrivals.size, int(arrivals.min())
+    span = int(departures.max()) - lo + 1
+    if span > COUNT_SPAN * n:
+        arr = np.sort(arrivals, axis=None, kind="stable")
+        gone = np.searchsorted(np.sort(departures, axis=None, kind="stable"),
+                               arr, side="right") * per_departure
+        return int((np.arange(1, n + 1) - gone).max())
+    depth = np.bincount(np.subtract(arrivals.ravel(), lo), minlength=span)
+    gone = np.bincount(np.subtract(departures.ravel(), lo), minlength=span)
+    depth -= np.multiply(gone, per_departure, out=gone)
+    return int(np.cumsum(depth, out=depth).max())
 
 
 def _check_stamps(top: int, what: str) -> None:
@@ -370,7 +386,7 @@ def _run_fcu_layer(entry: LayerAllocation, name: str, feed: LayerSim,
     batch_ready = arrivals[:, :, batches].max(axis=3)
     start = _chain(batch_ready.ravel() + 1, h).reshape(batch_ready.shape)
     out_arr = start[:, :, -1, None] + np.arange(ly.d_out) % h
-    peak = _fifo_stats(arrivals, np.repeat(start, j))
+    peak = _fifo_stats(arrivals, start, j)
     busy = [n_pixels * n_batches * h] * n_maps
     first_cycle = [int(c) for c in start[:, 0, 0]]
 

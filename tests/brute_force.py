@@ -1,5 +1,7 @@
 """Brute-force references that the tests check closed forms against."""
 
+from collections import Counter
+
 
 def output_valid(n: int, f: int, k: int, s: int, p: int) -> bool:
     """Whether the sliding window anchored at position n yields an output.
@@ -12,3 +14,18 @@ def output_valid(n: int, f: int, k: int, s: int, p: int) -> bool:
     r, c = divmod(n, f)
     hi = f - k + 2 * p
     return r <= hi and c <= hi and r % s == 0 and c % s == 0
+
+
+def fifo_peak(arrivals, departures) -> int:
+    """Peak occupancy of a FIFO, one stamp per entry in each list, found by
+    walking its events cycle by cycle: in each cycle the departures leave
+    first, then the arrivals enter one at a time, and the depth is read
+    after every arrival."""
+    came, left = Counter(arrivals), Counter(departures)
+    depth = peak = 0
+    for cycle in sorted(came.keys() | left.keys()):
+        depth -= left[cycle]
+        for _ in range(came[cycle]):
+            depth += 1
+            peak = max(peak, depth)
+    return peak

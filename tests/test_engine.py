@@ -5,18 +5,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from brute_force import fifo_peak
 from flowcnn.alloc import AllocError, FcuAllocation, plan_network
-from flowcnn.models import mobilenet_v1, random_network, running_example
-from flowcnn.netspec import LayerKind, parse_network
+from flowcnn.models import (data_path, mobilenet_v1, random_network,
+                            running_example)
+from flowcnn.netspec import LayerKind, load_network_file, parse_network
 from flowcnn.oracle import (gen_network_weights, gen_random, ref_network,
                             wrap_to_width)
 from flowcnn.rate import (Flow, map_stream, pad_gates, propagate_rates,
                           valid_output_positions)
 from flowcnn.sim import engine
-from flowcnn.sim.engine import (SimConfigError, _chain, _input_layer, _paced,
-                                _product_gates, _window_values,
-                                signal_events, simulate_network)
+from flowcnn.sim.engine import (SimConfigError, _chain, _fifo_stats,
+                                _input_layer, _paced, _product_gates,
+                                _window_values, signal_events,
+                                simulate_network)
 from flowcnn.sim.units import FcuUnit, KpuUnit, WidthOverflow, _check_width
 
 
@@ -856,3 +860,93 @@ def test_stepped_fcus_match_fcu_datapath():
                 f"FCU accumulation: |{first}| does not fit signed {bits}-bit"
             plan.layers[entry.index] = entry
     assert compared > 10_000
+
+
+@st.composite
+def _fifo_stamps(draw):
+    """(arrivals, departures, j): a FIFO of (maps, pixels, groups * j)
+    entries whose groups of j leave together, each at least one cycle after
+    the group's last arrival.  Arrivals and waits spread over a reach of
+    0 to 16 cycles per entry, so spans fall on both sides of COUNT_SPAN."""
+    maps, pixels, groups, j = (draw(st.integers(1, hi)) for hi in (3, 4, 4, 3))
+    n = maps * pixels * groups * j
+    reach = draw(st.sampled_from([0, 1, 2, 3, 4, 6, 8, 32])) * n // 2
+    base = draw(st.integers(0, 1 << 40))
+    arrivals = base + draw(arrays(np.int64, (maps, pixels, groups, j),
+                                  elements=st.integers(0, reach)))
+    waits = draw(arrays(np.int64, (maps, pixels, groups),
+                        elements=st.integers(1, reach + 1)))
+    departures = arrivals.max(axis=3) + waits
+    return arrivals.reshape(maps, pixels, groups * j), departures, j
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fifo_stamps())
+def test_fifo_peak_matches_the_event_walk(fifo):
+    arrivals, departures, j = fifo
+    assert _fifo_stats(arrivals, departures, j) == fifo_peak(
+        arrivals.ravel().tolist(), np.repeat(departures, j).tolist())
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 1 << 40), st.integers(0, 1 << 40),
+       st.lists(st.integers(1, 1 << 40), min_size=2, max_size=2))
+def test_fifo_peak_of_two_entries_near_2_62(first, back, waits):
+    # a span near 2**62 cycles leaves the sort as the only rule that can
+    # run: a count would need an array of about 2**62 int64s
+    arrivals = np.array([first, (1 << 62) - back])
+    departures = arrivals + waits
+    assert _fifo_stats(arrivals, departures) == fifo_peak(
+        arrivals.tolist(), departures.tolist())
+
+
+def _recorded_run(spec, maps, truncate):
+    """simulate_network on seeded weights and maps, with every FIFO
+    recorded as (arrivals, one departure stamp per entry, peak)."""
+    fifos, real = [], engine._fifo_stats
+
+    def record(arrivals, departures, per_departure=1):
+        peak = real(arrivals, departures, per_departure)
+        fifos.append((arrivals, np.repeat(departures, per_departure), peak))
+        return peak
+
+    weights = gen_network_weights(spec, 5)
+    xs = [gen_random(spec.input_shape, 50 + m, 8) for m in range(maps)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_fifo_stats", record)
+        res = simulate_network(plan_network(spec), weights, xs, truncate)
+    return res, fifos
+
+
+@pytest.fixture(scope="module")
+def simulated_population():
+    """(name, result, FIFOs) for the shipped network documents, random
+    networks run for 1 to 3 maps and MobileNetV1-0.25 truncated."""
+    cases = [(doc, load_network_file(data_path(doc)), 2, False)
+             for doc in ("running_example.json", "sweep_conv.json",
+                         "sweep_separable.json")]
+    cases += [(f"random_network({seed})", random_network(seed),
+               1 + seed % 3, False) for seed in range(12)]
+    cases.append(("mobilenet_v1(0.25)", mobilenet_v1(0.25), 1, True))
+    return [(name, *_recorded_run(spec, maps, truncate))
+            for name, spec, maps, truncate in cases]
+
+
+def test_fifo_peaks_of_simulated_networks_match_the_event_walk(
+        simulated_population):
+    for name, res, fifos in simulated_population:
+        assert [peak for *_, peak in fifos] == res.stats.fifo_peaks, name
+        for idx, (arrivals, departures, peak) in enumerate(fifos):
+            assert peak == fifo_peak(arrivals.ravel().tolist(),
+                                     departures.tolist()), (name, idx)
+
+
+def test_every_layer_emits_in_its_chan_order(simulated_population):
+    # each pixel's outputs leave in chan_order, pixel after pixel: an FCU
+    # layer fed by this one batches its features in that order
+    for name, res, _ in simulated_population:
+        for idx, sim in enumerate(res.layers):
+            stamps = sim.arrivals[:, :, sim.chan_order].reshape(
+                -1, len(sim.chan_order))
+            assert (np.diff(stamps, axis=1) >= 0).all(), (name, idx)
+            assert (stamps[1:, 0] >= stamps[:-1, -1]).all(), (name, idx)
