@@ -204,7 +204,9 @@ def plan_network(spec: NetworkSpec,
 
     parallel=True prices the fully parallel reference point: every layer is
     fed at r_in = d_in (the whole input per cycle), giving C = 1 everywhere
-    and a 1:1 neuron-to-unit mapping, so min_h does not apply to it.
+    and a 1:1 neuron-to-unit mapping, so min_h does not apply to it.  A
+    window layer (conv, depthwise or pool) takes at most one pixel per
+    cycle, r_in <= d_in; a faster rate is refused.
     """
     if parallel:
         rates = [classify_flow(ly, Fraction(_unit_inputs(ly)))
@@ -221,6 +223,10 @@ def plan_network(spec: NetworkSpec,
         warnings: list[str] = []
         unit: ConvAllocation | FcuAllocation | None
         if ly.kind in WINDOW_KINDS:
+            if info.r_in > ly.d_in:
+                raise AllocError(
+                    f"{spec.layer_name(idx)}: input rate {info.r_in} is above "
+                    f"one pixel per cycle (d_in = {ly.d_in})")
             unit = alloc_conv(ly.kind, ly.d_in, ly.d_out, info.r_in)
             if unit.continuity_break:
                 warnings.append(

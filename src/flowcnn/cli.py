@@ -230,7 +230,8 @@ def cmd_sweep(args) -> int:
     d_out = spec.layers[idx + 1].d_out if paired else ly.d_out
     rates = _parse_rates(args.rates)
     rows = sweep_rates(ly.f, ly.k, ly.p, ly.d_in, d_out, rates,
-                       separable=separable, min_h=args.min_h, s=ly.s)
+                       separable=separable, min_h=args.min_h, s=ly.s,
+                       name=spec.layer_name(idx))
     records = [dict(asdict(row.vector), rate=row.rate, kpu=row.n_kpu,
                     fcu=row.n_fcu, stalled=row.stalled) for row in rows]
     columns = _columns("r_in=rate add=adders mul=multipliers reg=registers "

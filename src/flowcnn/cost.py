@@ -241,7 +241,7 @@ class SweepRow:
 
 def sweep_rates(f: int, k: int, p: int, d_in: int, d_out: int,
                 rates: list[Rate], separable: bool = False,
-                min_h: int = 1, s: int = 1) -> list[SweepRow]:
+                min_h: int = 1, s: int = 1, name: str = "") -> list[SweepRow]:
     """Resource cost of one layer geometry across input data rates.
 
     The swept layer is a standard conv, or with separable a depthwise stage
@@ -249,13 +249,15 @@ def sweep_rates(f: int, k: int, p: int, d_in: int, d_out: int,
     is the table7 pricing of that one-layer (or one-pair) network's plan at
     input rate r, so it carries output-hold registers and weights like any
     planned layer; the row is flagged stalled when the first layer stalls.
+    A rate above d_in raises AllocError, naming the swept layer `name`.
     """
     if separable:
-        dw = LayerSpec(LayerKind.DW_CONV, f, k, s, p, d_in, d_in)
+        dw = LayerSpec(LayerKind.DW_CONV, f, k, s, p, d_in, d_in, name=name)
         layers = [dw, LayerSpec(LayerKind.PW_CONV, dw.f_out, 1, 1, 0, d_in,
                                 d_out, internal_input=True)]
     else:
-        layers = [LayerSpec(LayerKind.CONV, f, k, s, p, d_in, d_out)]
+        layers = [LayerSpec(LayerKind.CONV, f, k, s, p, d_in, d_out,
+                            name=name)]
     rows: list[SweepRow] = []
     for r in rates:
         r = Fraction(r)

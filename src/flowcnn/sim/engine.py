@@ -12,27 +12,34 @@ padding and measures utilization below 1.
 Units only advance on enabled cycles (clock gating), so unit state is a pure
 function of the slot sequence, and each layer is computed in two parts.  The
 schedule is one exact integer array per layer: the start cycle of every
-group (a stream position of `glen` slots, or an FCU batch of `h` slots).
-Output stamps, first cycles, busy counts, signal events and FIFO peaks
-(each FIFO's largest end-of-cycle occupancy, counted on the cycle axis, or
-from sorted stamps past a span of COUNT_SPAN cycles per entry) all follow
-from it in closed form.  The values follow from the delay-line
-formula in array form: a KPU or PPU window is a fixed sum or max of taps
-that streamed in a fixed number of positions earlier, and an FCU neuron is
-a running sum over its batches.  Each layer's values are computed once, at
-its valid outputs only, over all input channels at once.  Every KPU and
-PPU layer -- standard conv, depthwise conv (lowered average pooling
-included) and max pooling -- gathers the taps of a chunk of valid windows
-from its feed (`_windows`) and reduces them by the (k*k*d_in, d_out)
-kernel matrix, by an einsum over each channel's own kernel or by a max; an
-FCU layer is one product over all features per (map, pixel), as the batch
-order cannot change the sum.  A matrix product runs in float64 (BLAS) when
-the exact bound max|x| * max sum|w| over one output channel's taps is below
-2**53 and in int64 otherwise.  The width checks see every (input, output)
-channel pair's window at every stream position and every FCU running sum
-after every batch, but that scan runs only when the bound over one pair
-(`_product_gates`) cannot prove that they fit; a standard conv's sums over
-its input channels are checked at its valid outputs.  The
+group (a stream position of `glen` slots, or an FCU batch of `h` slots).  A
+pixel's features arrive in its producer's `chan_order` with nondecreasing
+stamps, and no earlier than the previous pixel's last, so a position is
+ready one cycle after its pixel's last channel arrives and an FCU batch one
+cycle after its last feature.  Output stamps, first cycles, busy counts,
+signal events and FIFO peaks (each FIFO's largest end-of-cycle occupancy,
+counted on the cycle axis, or from sorted stamps past a span of COUNT_SPAN
+cycles per entry) all follow from it in closed form.  The values follow
+from the delay-line formula in array form: a KPU or PPU window is a fixed
+sum or max of taps that streamed in a fixed number of positions earlier,
+and an FCU neuron is a running sum over its batches.  Each layer's values
+are computed once, at its valid outputs only, over all input channels at
+once.  Tap (i, m) of the window at output (r, c) reads map pixel (r*s + i -
+p, c*s + m - p), so each tap is one strided slice of the feed's (maps, f, f,
+d_in) map over the outputs where it lands inside the map, an index range
+per tap row and column; elsewhere it reads a padding zero (rows: the
+stream's padding positions; columns: what `pad_gates` masks).  A standard
+conv copies the slices into a buffer and multiplies it by the (k*k*d_in,
+d_out) kernel matrix, a depthwise conv (lowered average pooling included)
+adds each slice times its kernel entry and a max pool takes their maximum;
+an FCU layer is one product over all features per (map, pixel), as the
+batch order cannot change the sum.  A matrix product runs in float64 (BLAS)
+when the exact bound max|x| * max sum|w| over one output channel's taps is
+below 2**53 and in int64 otherwise.  The width checks see every (input,
+output) channel pair's window at every stream position and every FCU
+running sum after every batch, but that scan runs only when the bound over
+one pair (`_product_gates`) cannot prove that they fit; a standard conv's
+sums over its input channels are checked at its valid outputs.  The
 cycle-stepped units in `units` are the reference model this formula is
 tested against.  Values may carry trailing trial dimensions; the whole
 simulation is then batched across trials with identical control flow.
@@ -59,7 +66,7 @@ from .units import _check_width, _extremes, _peak
 
 CHUNK_ELEMENTS = 1 << 18   # bound on a tap or product chunk of a window
 EXACT_FLOAT = 1 << 53      # float64 adds integers below this exactly
-COUNT_SPAN = 1.5           # most cycles per FIFO entry counted, not sorted
+COUNT_SPAN = 16            # most cycles per FIFO entry counted, not sorted
 
 
 class SimConfigError(Exception):
@@ -101,8 +108,10 @@ def _fifo_stats(arrivals: np.ndarray, departures: np.ndarray,
     end-of-cycle occupancy: the arrivals' bincount less the departures', on
     the cycle axis from the first arrival lo to the last departure, summed
     in place.  That holds max(N + span, M + 2 span) int64s for N entries and
-    M departure stamps, within the sort's 4 N while span <= COUNT_SPAN * N;
-    wider spans (stamps reach 2**63) sort the stamps instead.
+    M <= N departure stamps, at most 33 N while span <= COUNT_SPAN * N.  On
+    MobileNetV1-0.25 every FIFO but the fc input's (124 cycles per entry)
+    spans at most 8 cycles per entry and counts; wider spans (a slow input
+    rate, stamps up to 2**63) sort the stamps instead, in 4 N int64s.
     """
     n, lo = arrivals.size, int(arrivals.min())
     span = int(departures.max()) - lo + 1
@@ -208,92 +217,142 @@ def _matmul(rows: np.ndarray, kern: np.ndarray) -> np.ndarray:
     return (rows[:, :, :, 0].transpose(2, 0, 1) @ kern).transpose(1, 2, 0)
 
 
-def _windows(values: np.ndarray, w, gate: np.ndarray, f: int,
-             x_pos: np.ndarray, wins: np.ndarray, dtype):
-    """Yield (a, b, results) over chunks of the windows completing at
-    stream positions wins[a:b]; results is (b - a, d_out, trials).
+def _tap_range(i: int, f: int, s: int, p: int, n: int) -> tuple[int, int]:
+    """[lo, hi): the rows r of an n-row output whose tap row i reads map row
+    r*s + i - p inside the f-row map, lo = ceil((p-i)/s) and hi =
+    floor((f-1-i+p)/s) + 1 clipped to [0, n]; columns alike.  Elsewhere the
+    tap reads a padding zero: a padding position of the stream (rows) or a
+    multiplier column that pad_gates masks (columns)."""
+    lo = min(n, max(0, -((i - p) // s)))
+    return lo, max(lo, min(n, (f - 1 - i + p) // s + 1))
 
-    Tap (i, m) of the window completing at stream position t reads the
-    input at t + i*f + m, times its column-m gate (pad_gates): the input D =
-    (k-1-i)*f + (k-1-m) positions earlier, on a stream led by (k-1)*(f+1)
-    zeros (the registers start at zero) with the pixels at x_pos and zeros
-    at padding positions.  A chunk's taps are gathered from the values by
-    pixel, every input channel at once: (windows, k*k, d_in, *TS).  With w
-    as in `_product_gates`, a standard conv is one (k*k*d_in) x d_out
-    product per weight set in dtype, a depthwise conv an int64 einsum over
-    each channel's k*k taps and a PPU (w None) their max; int64 wraps mod
-    2**64 as the delay line does.
+
+def _stream_windows(values: np.ndarray, w, f: int, k: int, p: int,
+                    ch: int) -> np.ndarray:
+    """Input channel ch's window through each of its (ch, oc) pairs at every
+    stream position, invalid windows and map seams included: (n_pos, pairs,
+    *TS).  A pair is channel ch alone through w[oc, ch] (a standard conv),
+    through its own kernel (depthwise) or a max (w None, one pair).
+
+    Tap (i, m) of the window completing at stream position t reads the input
+    D = (k-1-i)*f + (k-1-m) positions earlier, times its column-m gate
+    (pad_gates): one 1-D slice of the channel's stream, which is led by
+    (k-1)*(f+1) zeros (the registers start at zero) and holds zeros at its
+    padding positions.  int64 wraps mod 2**64 as the delay line does.
     """
-    d_in = values.shape[2]
-    n_trials = math.prod(values.shape[3:])
-    k = gate.shape[1]
-    kk = k * k
-    d_out, sets = d_in, 1
+    n_maps, ts = len(values), values.shape[3:]
+    prefix, period = map_stream(f, p)
+    lead = (k - 1) * (f + 1) + prefix
+    n_pos = prefix + n_maps * period
+    line = np.zeros((lead + n_maps * period,) + ts, dtype=np.int64)
+    line[lead:].reshape((n_maps, period) + ts)[:, :f * f] = values[:, :, ch]
+    gate = np.ones((len(line), k), dtype=np.int64)
+    gate[lead:].reshape(n_maps, period, k)[:, :f * f] = \
+        np.tile(pad_gates(f, k, p), (f, 1))
     if w is not None:
-        d_out, sets = w.shape[0], n_trials if w.ndim > 4 else 1
-        # a standard kernel as kern[set, tap*d_in + ch, oc], a depthwise
-        # one as kern[ch, tap, set]
-        kern = w.reshape(d_out, d_in, kk, sets).transpose(3, 2, 1, 0) \
-            .reshape(sets, kk * d_in, d_out).astype(dtype) \
-            if w.shape[1] == d_in else w.reshape(d_in, kk, sets)
-    # src[t]: the pixel streaming in at position t; a tap is zero where its
-    # column's gate is or at a padding position, which reads pixel 0
-    pixels = values.reshape(-1, d_in, n_trials)
-    src = np.full(len(gate), -1, dtype=np.intp)
-    src[x_pos.ravel()] = np.arange(len(pixels))
-    dead = (gate == 0) | (src < 0)[:, None]
-    np.maximum(src, 0, out=src)
-    offsets = (np.arange(k)[:, None] * f + np.arange(k)).ravel()
-    cols = np.tile(np.arange(k), k)
-    step = max(1, CHUNK_ELEMENTS // (n_trials * max(kk * d_in, d_out)))
-    for a in range(0, wins.size, step):
-        at = wins[a:a + step, None] + offsets      # (windows, k*k)
-        taps = pixels[src[at]]
-        off = dead[at, cols]
-        if off.any():
-            taps[off] = 0
-        taps = taps.reshape(len(at), kk, d_in, sets, -1)
-        if w is None:
-            res = taps.max(axis=1)
-        elif w.shape[1] == d_in:
-            res = _matmul(taps.reshape(len(at), kk * d_in, sets, -1), kern)
+        pairs = w[:, ch] if w.shape[1] == values.shape[2] else w[ch]
+        pairs = pairs.reshape(pairs.shape[:3]
+                              + (w.shape[4:] or (1,) * len(ts)))
+    res = None
+    for t in range(k * k):
+        i, m = divmod(t, k)
+        o = i * f + m
+        tap = line[o:o + n_pos, None] \
+            * gate[o:o + n_pos, m].reshape((-1, 1) + (1,) * len(ts))
+        if w is not None:
+            tap = tap * pairs[:, i, m]
+            res = tap if res is None else res + tap
         else:
-            res = np.einsum("ctdsu,dts->cdsu", taps, kern)
-        yield a, a + len(at), res.reshape(len(at), d_out, n_trials)
+            res = tap if res is None else np.maximum(res, tap)
+    return res
 
 
-def _window_values(values: np.ndarray, w, gate: np.ndarray, f: int,
-                   x_pos: np.ndarray, win_pos: np.ndarray,
+def _window_values(values: np.ndarray, w, f: int, k: int, s: int, p: int,
                    bits: int | None) -> np.ndarray:
-    """A KPU or PPU layer's window results at the valid output positions
-    win_pos: (n_maps, n_out, d_out, *TS), from `_windows`.
+    """A KPU or PPU layer's window results at its valid outputs: (n_maps,
+    n*n, d_out, *TS) for the n x n output grid, with w as in
+    `_product_gates` (None for a max pool).
+
+    Tap (i, m) of the window at output (r, c) reads map pixel (r*s + i - p,
+    c*s + m - p), so over the outputs where it lands inside the map
+    (`_tap_range`) each tap is one strided slice of the (maps, f, f, d_in,
+    *TS) feed, and a tap outside the map is a padding zero.  A standard conv
+    copies the k*k slices of one map and a few output rows, at most
+    CHUNK_ELEMENTS, into a buffer in the product's dtype, zero outside, and
+    multiplies it by the (k*k*d_in, d_out) kernel matrix; a depthwise conv
+    adds each tap's slice times its kernel entry in int64, which wraps mod
+    2**64 as the delay line does; a max pool takes each tap's maximum, and
+    a window with a tap outside the map the zero's too.
 
     When the bound of `_product_gates` cannot prove that every (input,
     output) channel pair fits bits, the pairs are width-checked first, in
-    (ch, oc) order, at every stream position, invalid windows included:
-    pair (ch, oc) is channel ch alone through w[oc, ch] (a standard conv),
-    through its own kernel (depthwise) or a max, kept only as a min and max.
+    (ch, oc) order, at every stream position (`_stream_windows`).
     """
-    d_in = values.shape[2]
+    n_maps, _, d_in = values.shape[:3]
+    ts = values.shape[3:]
     dtype, scan = _product_gates(values, w, bits)
-    every = np.arange(len(gate) - (gate.shape[1] - 1) * (f + 1))
     for ch in range(d_in if scan else 0):
-        only = None if w is None else \
-            w[:, ch:ch + 1] if w.shape[1] == d_in else w[ch:ch + 1]
-        ends = [(res.min(axis=(0, 2)), res.max(axis=(0, 2)))
-                for _, _, res in _windows(values[:, :, ch:ch + 1], only, gate,
-                                          f, x_pos, every, dtype)]
-        lows, highs = zip(*ends)
-        for lo, hi in zip(np.min(lows, axis=0), np.max(highs, axis=0)):
-            _check_width(np.array([lo, hi]), bits, "PPU window max"
+        res = _stream_windows(values, w, f, k, p, ch)
+        for oc in range(res.shape[1]):
+            _check_width(res[:, oc], bits, "PPU window max"
                          if w is None else "KPU window sum")
-    wins = win_pos.ravel()
-    d_out = d_in if w is None else w.shape[0]
-    out = np.empty((wins.size, d_out) + values.shape[3:], dtype=np.int64)
-    flat = out.reshape(wins.size, d_out, -1)
-    for a, b, res in _windows(values, w, gate, f, x_pos, wins, dtype):
-        flat[a:b] = res
-    return out.reshape(win_pos.shape + out.shape[1:])
+    n = (f - k + 2 * p) // s + 1
+    # per tap row (column) i: the output rows [lo, hi) inside the map, and
+    # the map rows read there
+    spans = [_tap_range(i, f, s, p, n) for i in range(k)]
+    reads = [slice(lo * s + i - p, hi * s + i - p, s)
+             for i, (lo, hi) in enumerate(spans)]
+    x = values.reshape((n_maps, f, f) + values.shape[2:])
+    if w is None or w.shape[1] != d_in:
+        if w is not None:   # kern[ch, i, m] against (..., d_in, *TS)
+            kern = w.reshape((d_in, k, k) + (w.shape[4:] or (1,) * len(ts)))
+        out = np.full((n_maps, n, n) + values.shape[2:],
+                      0 if w is not None else np.iinfo(np.int64).min,
+                      dtype=np.int64)
+        for t in range(k * k):
+            i, m = divmod(t, k)
+            dst = out[:, slice(*spans[i]), slice(*spans[m])]
+            if w is None:
+                np.maximum(dst, x[:, reads[i], reads[m]], out=dst)
+            else:
+                dst += x[:, reads[i], reads[m]] * kern[:, i, m]
+        if w is None:   # the windows with a tap outside the map
+            lo, hi = max(lo for lo, _ in spans), min(hi for _, hi in spans)
+            for edge in (out[:, :lo], out[:, hi:], out[:, :, :lo],
+                         out[:, :, hi:]):
+                np.maximum(edge, 0, out=edge)
+        return out.reshape((n_maps, n * n) + values.shape[2:])
+
+    d_out, kk, n_trials = w.shape[0], k * k, math.prod(ts)
+    sets = n_trials if w.ndim > 4 else 1
+    # the kernel as kern[set, tap*d_in + ch, oc]
+    kern = w.reshape(d_out, d_in, kk, sets).transpose(3, 2, 1, 0) \
+        .reshape(sets, kk * d_in, d_out).astype(dtype)
+    x = x.reshape(n_maps, f, f, d_in, n_trials)
+    out = np.empty((n_maps, n, n, d_out, n_trials), dtype=np.int64)
+    step = max(1, CHUNK_ELEMENTS // (n_trials * n * max(kk * d_in, d_out)))
+    # the taps of up to step output rows; no copy writes a column outside
+    # the map, which stays zero
+    buf = np.zeros((min(step, n), n, kk, d_in, n_trials), dtype=dtype)
+    for mp in range(n_maps):
+        for r0 in range(0, n, step):
+            r1 = min(n, r0 + step)
+            rows = buf[:r1 - r0]
+            for t in range(kk):
+                i, m = divmod(t, k)
+                lo = min(max(spans[i][0], r0), r1)
+                hi = max(lo, min(spans[i][1], r1))
+                tap = rows[:, :, t]
+                if lo > r0:
+                    tap[:lo - r0] = 0
+                if hi < r1:
+                    tap[hi - r0:] = 0
+                tap[lo - r0:hi - r0, slice(*spans[m])] = \
+                    x[mp, lo * s + i - p:hi * s + i - p:s, reads[m]]
+            out[mp, r0:r1] = _matmul(
+                rows.reshape(-1, kk * d_in, sets, n_trials // sets), kern
+            ).reshape(rows.shape[:2] + (d_out, n_trials))
+    return out.reshape((n_maps, n * n, d_out) + ts)
 
 
 def _run_conv_like(entry: LayerAllocation, feed: LayerSim, w,
@@ -326,7 +385,7 @@ def _run_conv_like(entry: LayerAllocation, feed: LayerSim, w,
     win_pos = lat_pos + map_base + valid_output_positions(f, k, s, p)
 
     readies = np.full(n_pos, -1, dtype=np.int64)
-    readies[pix_pos] = feed.arrivals.max(axis=2)
+    readies[pix_pos] = feed.arrivals[:, :, feed.chan_order[-1]]
     start = _chain(_paced(readies, Fraction(d_in) / entry.rate.r_in), glen)
     out_arr = start[win_pos][:, :, None] + emit_slot
     peak = _fifo_stats(feed.arrivals, start[pix_pos][:, :, None] + last_use)
@@ -337,15 +396,13 @@ def _run_conv_like(entry: LayerAllocation, feed: LayerSim, w,
     # Datapath: every (input channel, output channel) pair is one delay line
     # over the position stream; a unit's C configurations and its streams
     # are independent lanes, so the slot a pair occupies does not matter.
-    gate = np.ones((lat_pos + n_pos, k), dtype=np.int64)
-    gate[lat_pos + pix_pos] = np.tile(pad_gates(f, k, p), (f, 1))
     if ly.constant_weights:
         # a lowered average pool: a unit kernel, then floor division by k*k
         w = np.ones((d_in, k, k), dtype=np.int64)
     # a depthwise kernel is a grouped one with one input channel per group
     kernels = w[:, None] if ly.kind == LayerKind.DW_CONV else w
-    out_vals = _window_values(feed.values, kernels, gate, f,
-                              lat_pos + pix_pos, win_pos, entry.acc_width)
+    out_vals = _window_values(feed.values, kernels, f, k, s, p,
+                              entry.acc_width)
     if ly.kind == LayerKind.CONV:   # the sums over input channels
         _check_width(out_vals, entry.acc_width, "KPU channel accumulation")
     if ly.constant_weights:
@@ -383,7 +440,7 @@ def _run_fcu_layer(entry: LayerAllocation, name: str, feed: LayerSim,
     # cycle after its last feature arrives; neuron oc leaves in slot oc % h
     # of the pixel's last batch.
     arrivals = feed.arrivals.reshape(n_maps, n_pixels, flat_width)
-    batch_ready = arrivals[:, :, batches].max(axis=3)
+    batch_ready = arrivals[:, :, batches[:, -1]]
     start = _chain(batch_ready.ravel() + 1, h).reshape(batch_ready.shape)
     out_arr = start[:, :, -1, None] + np.arange(ly.d_out) % h
     peak = _fifo_stats(arrivals, start, j)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -207,6 +208,27 @@ def test_plan_single_layer():
     plan = plan_network(spec)
     assert len(plan.layers) == 1
     assert plan.layers[0].n_kpu == alloc_conv(CONV, 2, 4, Fraction(2)).n_units
+
+
+def test_plan_refuses_window_layers_above_one_pixel_per_cycle(rex_spec):
+    # a spec built in code is not validated; the planner refuses C1 at 8
+    # features per cycle (d_in = 1), and the same layer at its own rate plans
+    fast = dataclasses.replace(rex_spec, input_rate=Fraction(8))
+    with pytest.raises(AllocError) as exc:
+        plan_network(fast)
+    assert str(exc.value) == \
+        "C1: input rate 8 is above one pixel per cycle (d_in = 1)"
+    plan_network(dataclasses.replace(rex_spec, input_rate=Fraction(1)))
+    # a pool at its own d_in plans; an FCU layer keeps the whole flattened
+    # input per cycle in the fully parallel plan
+    pool = parse_network({"input": {"height": 4, "width": 4, "channels": 3,
+                                    "rate": "3"},
+                          "layers": [{"kind": "maxpool", "k": 2}]})
+    assert plan_network(pool).layers[0].rate.r_in == 3
+    with pytest.raises(AllocError, match="^L0: input rate 4 is above"):
+        plan_network(dataclasses.replace(pool, input_rate=Fraction(4)))
+    parallel = plan_network(rex_spec, parallel=True)
+    assert parallel.layers[-1].rate.r_in == 256 > parallel.layers[-1].layer.d_in
 
 
 def test_plan_mobilenet_table_counts():

@@ -90,6 +90,22 @@ def test_sweep_matches_reference(capsys, sweep_geometry_file):
     assert rows[-1][-1] == "*"          # stalled row marked
 
 
+@pytest.mark.parametrize("doc, argv, message", [
+    ("rex_file", ["--layer", "C1", "--rates", "8"],
+     "C1: input rate 8 is above one pixel per cycle (d_in = 1)"),
+    ("rex_file", ["--layer", "C2", "--rates", "8,16"],
+     "C2: input rate 16 is above one pixel per cycle (d_in = 8)"),
+    ("sweep_geometry_file", ["--layer", "0", "--separable", "--rates", "9"],
+     "sweep: input rate 9 is above one pixel per cycle (d_in = 8)"),
+], ids=["C1", "C2", "separable"])
+def test_sweep_refuses_window_rates_above_one_pixel_per_cycle(
+        capsys, request, doc, argv, message):
+    # the engine streams at most one stream position per cycle, so a window
+    # layer's rate stops at d_in; at 8 the C1 sweep priced 64 KPUs at exit 0
+    code, out, err = run(capsys, "sweep", request.getfixturevalue(doc), *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_plan_parallel(capsys, rex_file, tmp_path, residual_doc):
     code, out, _ = run(capsys, "plan", rex_file, "--parallel")
     assert code == 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from brute_force import fifo_peak
@@ -19,8 +19,8 @@ from flowcnn.rate import (Flow, map_stream, pad_gates, propagate_rates,
 from flowcnn.sim import engine
 from flowcnn.sim.engine import (SimConfigError, _chain, _fifo_stats,
                                 _input_layer, _paced, _product_gates,
-                                _window_values, signal_events,
-                                simulate_network)
+                                _stream_windows, _tap_range, _window_values,
+                                signal_events, simulate_network)
 from flowcnn.sim.units import FcuUnit, KpuUnit, WidthOverflow, _check_width
 
 
@@ -574,6 +574,25 @@ def _conv_stream(f, k, s, p, n_maps):
     return x_pos, gate, lat + map_base + valid_output_positions(f, k, s, p)
 
 
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 7), s=st.integers(1, 4), p=st.integers(0, 3),
+       extra=st.integers(0, 9))
+@example(k=3, s=2, p=1, extra=1)       # 2p = k - 1 at stride 2
+@example(k=5, s=3, p=2, extra=0)       # a map no wider than the padding
+def test_tap_ranges_are_where_taps_read_the_map(k, s, p, extra):
+    # tap i of the window at output r reads map row r*s + i - p; on the
+    # stream its column is gated by pad_gates at the map column it lands on
+    # (a neighbouring row's, past an edge)
+    p = min(p, (k - 1) // 2)
+    f = k - 2 * p + extra
+    n = (f - k + 2 * p) // s + 1
+    gates = pad_gates(f, k, p)
+    for i in range(k):
+        inside = list(range(*_tap_range(i, f, s, p, n)))
+        assert inside == [r for r in range(n) if 0 <= r * s + i - p < f]
+        assert inside == [c for c in range(n) if gates[(c * s + i - p) % f, i]]
+
+
 def _stepped_windows(kind, values, w, gate, f, p, x_pos):
     """Every (ch, oc) pair's window at every stream position from stepped
     units: (n_pos, d_in, oc per channel, *TS).  One KpuUnit per input
@@ -590,7 +609,7 @@ def _stepped_windows(kind, values, w, gate, f, p, x_pos):
     wins = []
     for ch in range(values.shape[2]):
         if kind == "maxpool":
-            unit = KpuUnit(k, f, 1, None)
+            unit = KpuUnit(k, f, 1, None, p)
         else:
             kern = w[:, ch] if kind == "conv" else w[ch][None]
             kern = np.moveaxis(kern, 0, 2)                  # (k, k, oc, ...)
@@ -645,6 +664,15 @@ def test_stepped_units_match_window_formula(kind, k, extra, padded, s, d_in,
         engine.CHUNK_ELEMENTS = real_chunk
 
 
+@pytest.mark.parametrize("s", [1, 2])
+def test_padded_max_pool_takes_the_zero_of_an_outside_tap(s):
+    # documents fix a max pool's padding at 0, but a PPU gates an outside
+    # tap's column to zero like a KPU: a border window's max includes it
+    for seed in range(4):
+        _check_window_values("maxpool", 3, 5, 1, s, 2, 1, 2, (), False, 24,
+                             seed)
+
+
 def _check_window_values(kind, k, f, p, s, d_in, d_out, n_maps, trials,
                          stacked, bits, seed):
     rng = np.random.default_rng(seed)
@@ -657,23 +685,14 @@ def _check_window_values(kind, k, f, p, s, d_in, d_out, n_maps, trials,
     wins = _stepped_windows(kind, values, w, gate, f, p, x_pos)
 
     # every pair's window array, at every stream position, invalid windows
-    # and map seams included: a conv with one input channel's kernels left
-    # in yields that channel's pairs
-    every = np.arange(len(wins))[None]
-    if kind == "conv":
-        for ch in range(d_in):
-            only = np.zeros_like(w)
-            only[:, ch] = w[:, ch]
-            got = _window_values(values, only, gate, f, x_pos, every, None)
-            assert np.array_equal(got[0], wins[:, ch])
-    else:
-        got = _window_values(values, grouped, gate, f, x_pos, every, None)
-        assert np.array_equal(got[0], wins[:, :, 0])
+    # and map seams included, channel by channel
+    for ch in range(d_in):
+        got = _stream_windows(values, grouped, f, k, p, ch)
+        assert np.array_equal(got, wins[:, ch])
 
     # the results at the valid positions, and the same width check firing
     # on the same pair with the same message
-    got, err = _outcome(_window_values, values, grouped, gate, f, x_pos,
-                        win_pos, bits)
+    got, err = _outcome(_window_values, values, grouped, f, k, s, p, bits)
     want, want_err = _outcome(_pair_checked, kind, wins, win_pos, bits)
     assert err == want_err
     assert (got is None) == (want is None)
@@ -777,7 +796,7 @@ def test_conv_past_the_exact_bound_wraps_like_int64(layer):
     values = x.reshape(1, 16, 2)
     wins = _stepped_windows(kind, values, w, gate, 4, ly.p, x_pos)
     assert np.array_equal(
-        _window_values(values, grouped, gate, 4, x_pos, win_pos, 64),
+        _window_values(values, grouped, 4, ly.k, ly.s, ly.p, 64),
         _pair_checked(kind, wins, win_pos, 64))
     if kind == "conv":
         # the centre window's exact sum leaves int64; all three paths wrap it
@@ -867,10 +886,10 @@ def _fifo_stamps(draw):
     """(arrivals, departures, j): a FIFO of (maps, pixels, groups * j)
     entries whose groups of j leave together, each at least one cycle after
     the group's last arrival.  Arrivals and waits spread over a reach of
-    0 to 16 cycles per entry, so spans fall on both sides of COUNT_SPAN."""
+    0 to 32 cycles per entry, so spans fall on both sides of COUNT_SPAN."""
     maps, pixels, groups, j = (draw(st.integers(1, hi)) for hi in (3, 4, 4, 3))
     n = maps * pixels * groups * j
-    reach = draw(st.sampled_from([0, 1, 2, 3, 4, 6, 8, 32])) * n // 2
+    reach = draw(st.sampled_from([0, 1, 2, 3, 4, 6, 8, 16, 32, 64])) * n // 2
     base = draw(st.integers(0, 1 << 40))
     arrivals = base + draw(arrays(np.int64, (maps, pixels, groups, j),
                                   elements=st.integers(0, reach)))
