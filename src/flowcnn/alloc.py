@@ -30,14 +30,15 @@ from fractions import Fraction
 
 from .netspec import LayerKind, LayerSpec, NetworkSpec, QuantFormat
 from .rate import (WINDOW_KINDS, Flow, LayerRateInfo, Rate, classify_flow,
-                   config_count, interleave_count, propagate_rates)
+                   config_count, interleave_count, propagate_rates,
+                   stream_count)
 
 
 class AllocError(Exception):
     """A layer cannot be realised with the allocation rules."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConvAllocation:
     """Window-unit provisioning for a standard or depthwise convolution or
     a max pool, whose units are PPUs: KPUs without weights."""
@@ -49,7 +50,7 @@ class ConvAllocation:
     continuity_break: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FcuAllocation:
     """FCU provisioning for a fully connected or pointwise layer."""
 
@@ -60,7 +61,7 @@ class FcuAllocation:
     c: int                 # weight configurations = h * d_in / j
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayerAllocation:
     index: int
     layer: LayerSpec
@@ -97,7 +98,7 @@ class LayerAllocation:
         return self.unit.i if isinstance(self.unit, ConvAllocation) else 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArchitecturePlan:
     spec: NetworkSpec
     layers: list[LayerAllocation]
@@ -131,7 +132,7 @@ def alloc_conv(kind: LayerKind, d_in: int, d_out: int,
     fan_out = -(-d_out // i) if kind == LayerKind.CONV else 1
     accumulate = kind == LayerKind.CONV and not (d_in == 1 and r_in == 1)
     return ConvAllocation(
-        n_units=math.ceil(r_in) * fan_out,
+        n_units=stream_count(r_in) * fan_out,
         c=config_count(kind, d_in, d_out, r_in),
         i=i,
         accumulators=fan_out if accumulate else 0,
@@ -165,7 +166,7 @@ def size_fcu(d_in: int, d_out: int, r_in: Rate, min_h: int = 1,
             f"fully connected layer with {d_in} inputs is not realisable at "
             f"j={j} inputs per cycle without padding the feature vector")
     n_fcu, c = d_out // h, h * d_in // j
-    share = math.gcd(math.ceil(r_in), n_fcu) \
+    share = math.gcd(stream_count(r_in), n_fcu) \
         if shared_pointwise_streams and h == 1 else 1
     return FcuAllocation(j=j, h=h, a=a, n_fcu=n_fcu // share, c=c * share)
 
@@ -222,8 +223,9 @@ def plan_network(spec: NetworkSpec,
     for idx, (ly, info) in enumerate(zip(spec.layers, rates)):
         warnings: list[str] = []
         unit: ConvAllocation | FcuAllocation | None
+        num, den = info.r_in.numerator, info.r_in.denominator
         if ly.kind in WINDOW_KINDS:
-            if info.r_in > ly.d_in:
+            if num > ly.d_in * den:
                 raise AllocError(
                     f"{spec.layer_name(idx)}: input rate {info.r_in} is above "
                     f"one pixel per cycle (d_in = {ly.d_in})")
@@ -244,7 +246,7 @@ def plan_network(spec: NetworkSpec,
             warnings.append(
                 f"{spec.layer_name(idx)}: input rate {info.r_in} stalls the "
                 f"layer (utilization {info.utilization})")
-        elif isinstance(unit, ConvAllocation) and info.r_in * unit.c > ly.d_in:
+        elif isinstance(unit, ConvAllocation) and num * unit.c > ly.d_in * den:
             warnings.append(
                 f"{spec.layer_name(idx)}: C={unit.c} slots per position "
                 f"outrun its pace of d_in/r_in = {ly.d_in / info.r_in} "
@@ -265,9 +267,10 @@ def plan_network(spec: NetworkSpec,
                 f"internal wiring error between layers {prev.index} and "
                 f"{cur.index}: rate {feeds} vs {expected}")
 
+    # ceil(feature_count / r_in): the cycles each layer takes over one map
     return ArchitecturePlan(spec, entries, max(
-        math.ceil(Fraction(e.layer.feature_count) / e.rate.r_in)
-        for e in entries))
+        -(-e.layer.feature_count * e.rate.r_in.denominator
+          // e.rate.r_in.numerator) for e in entries))
 
 
 def plan_to_dict(plan: ArchitecturePlan) -> dict:

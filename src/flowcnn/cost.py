@@ -15,11 +15,16 @@ An N:1 multiplexer counts as N-1 two-to-one multiplexers.  ReLU and control
 counters cost nothing.  Scope flags make the accounting conventions of the
 different report styles explicit; FIFO registers on the link inside a lowered
 depthwise-separable pair belong to the layer itself and are always counted.
+
+Each formula is written once, as a private function that returns plain int
+counts in `ResourceVector` field order.  The public `*_cost` functions wrap
+one such count tuple in a vector; `layer_cost` keeps one count row per layer,
+adds each part's counts field by field, each unit price times its unit
+count, and builds one vector for the row.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -28,10 +33,10 @@ from operator import attrgetter
 from .alloc import (ArchitecturePlan, ConvAllocation, FcuAllocation,
                     LayerAllocation, plan_network)
 from .netspec import LayerKind, LayerSpec, NetworkSpec
-from .rate import WINDOW_KINDS, Flow, Rate
+from .rate import WINDOW_KINDS, Flow, Rate, stream_count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceVector:
     """Resource counts; the arithmetic runs over the declared fields."""
 
@@ -55,7 +60,7 @@ def sum_vectors(vectors: Iterable[ResourceVector]) -> ResourceVector:
     return ResourceVector(*map(sum, zip(*map(_field_values, vectors))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostScope:
     """Which shared components are attributed to the layer rows."""
 
@@ -79,58 +84,73 @@ SCOPES = {"table6": SCOPE_TABLE6, "table7": SCOPE_TABLE7,
           "table9": SCOPE_TABLE9, "parallel": SCOPE_TABLE7}
 
 
+# Each `_<part>_counts` returns its part's (adders, multipliers, registers,
+# mux2, max_units); weights belong to the layer and are priced per row.
+
 def _window_registers(k: int, f: int, c: int) -> int:
     """Pipeline and line-buffer state of one KPU or PPU, per configuration."""
     return (k * (k - 1) + (k - 1) * (f - k + 1)) * c
 
 
+def _kpu_counts(k: int, f: int, c: int) -> tuple[int, ...]:
+    return k * k - 1, k * k, _window_registers(k, f, c), k * k * (c - 1), 0
+
+
+def _ppu_counts(k: int, f: int, c: int) -> tuple[int, ...]:
+    return 0, 0, _window_registers(k, f, c), 0, k * k - 1
+
+
+def _accumulator_counts(d_out: int, accumulators: int,
+                        n_kpu: int) -> tuple[int, ...]:
+    return accumulators * -(-n_kpu // d_out), 0, d_out, 0, 0
+
+
+def _bias_counts(d_out: int, i: int) -> tuple[int, ...]:
+    streams = -(-d_out // i)
+    return streams, 0, 0, d_out - streams, 0
+
+
+def _interleaver_counts(d_in: int, i: int, r_in: Rate) -> tuple[int, ...]:
+    return 0, 0, 0, max(0, -(-d_in // i) - stream_count(r_in)), 0
+
+
+def _fcu_counts(j: int, h: int, c: int) -> tuple[int, ...]:
+    return j, j, h, j * (c - 1), 0
+
+
 def kpu_cost(k: int, f: int, c: int) -> ResourceVector:
     """One KPU: transposed-form MACs plus per-configuration state."""
-    return ResourceVector(
-        adders=k * k - 1,
-        multipliers=k * k,
-        registers=_window_registers(k, f, c),
-        mux2=k * k * (c - 1),
-    )
+    return ResourceVector(*_kpu_counts(k, f, c))
 
 
 def accumulator_cost(d_out: int, accumulators: int,
                      n_kpu: int) -> ResourceVector:
     """Cross-channel accumulation behind the KPUs of one conv layer: each
     of the plan's accumulators sums ceil(#KPU / d_out) KPU outputs."""
-    return ResourceVector(
-        adders=accumulators * -(-n_kpu // d_out),
-        registers=d_out,
-    )
+    return ResourceVector(*_accumulator_counts(d_out, accumulators, n_kpu))
 
 
 def bias_cost(d_out: int, i: int) -> ResourceVector:
     """One bias adder per output stream, with an I:1 constant mux each."""
-    streams = -(-d_out // i)
-    return ResourceVector(adders=streams, mux2=d_out - streams)
+    return ResourceVector(*_bias_counts(d_out, i))
 
 
 def interleaver_cost(d_in: int, i: int, r_in: Rate) -> ResourceVector:
     """Interleave d_in/I producer streams into ceil(r_in) continuous ones."""
-    return ResourceVector(mux2=max(0, -(-d_in // i) - math.ceil(r_in)))
+    return ResourceVector(*_interleaver_counts(d_in, i, r_in))
 
 
 def ppu_cost(k: int, f: int, c: int) -> ResourceVector:
     """One PPU: comparator tree plus the same line-buffer state as a KPU."""
-    return ResourceVector(
-        max_units=k * k - 1,
-        registers=_window_registers(k, f, c),
-    )
+    return ResourceVector(*_ppu_counts(k, f, c))
 
 
 def fcu_cost(j: int, h: int, c: int, n_fcu: int) -> ResourceVector:
     """n_fcu FCUs with j inputs, h neurons and c weight configurations."""
-    per_unit = ResourceVector(adders=j, multipliers=j, registers=h,
-                              mux2=j * (c - 1))
-    return per_unit.scaled(n_fcu)
+    return ResourceVector(*(n_fcu * v for v in _fcu_counts(j, h, c)))
 
 
-@dataclass
+@dataclass(slots=True)
 class CostRow:
     name: str
     kind: str
@@ -142,7 +162,7 @@ class CostRow:
     stalled: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class CostReport:
     rows: list[CostRow]
     fifo_registers: int = 0      # inter-layer FIFO registers kept off-row
@@ -167,38 +187,46 @@ class CostReport:
 def layer_cost(entry: LayerAllocation, scope: CostScope,
                producer: LayerAllocation | None) -> ResourceVector:
     """Everything attributed to one layer row under the given scope."""
-    ly, unit = entry.layer, entry.unit
-    parts = [ResourceVector(weights=ly.weight_count)]
+    ly, unit, r_in = entry.layer, entry.unit, entry.rate.r_in
+    add = mul = reg = mux = mx = 0
 
     if isinstance(unit, ConvAllocation):
-        unit_cost = ppu_cost if entry.n_ppu else kpu_cost
-        parts.append(unit_cost(ly.k, ly.f, unit.c).scaled(unit.n_units))
+        n = unit.n_units
+        counts = _ppu_counts if ly.kind == LayerKind.MAXPOOL else _kpu_counts
+        a, m, r, x, p = counts(ly.k, ly.f, unit.c)
+        add, mul, reg, mux, mx = n * a, n * m, n * r, n * x, n * p
         if unit.accumulators:
-            parts.append(accumulator_cost(ly.d_out, unit.accumulators,
-                                          unit.n_units))
+            a, _, r, _, _ = _accumulator_counts(ly.d_out, unit.accumulators, n)
+            add += a
+            reg += r
         if scope.include_bias and ly.has_weights:
             # a depthwise output stream carries the C channels of its KPU
-            parts.append(bias_cost(
-                ly.d_out, unit.c if ly.kind == LayerKind.DW_CONV else unit.i))
+            a, _, _, x, _ = _bias_counts(
+                ly.d_out, unit.c if ly.kind == LayerKind.DW_CONV else unit.i)
+            add += a
+            mux += x
         if unit.continuity_break:
             # output-hold registers where the unit count was rounded up
-            parts.append(ResourceVector(registers=ly.d_out))
+            reg += ly.d_out
     elif isinstance(unit, FcuAllocation):
-        parts.append(fcu_cost(unit.j, unit.h, unit.c, unit.n_fcu))
+        n = unit.n_fcu
+        a, m, r, x, _ = _fcu_counts(unit.j, unit.h, unit.c)
+        add, mul, reg, mux = n * a, n * m, n * r, n * x
         # FC/pointwise bias loads the accumulator start value; no adder
     elif ly.kind == LayerKind.RESIDUAL_ADD:
-        parts.append(ResourceVector(adders=math.ceil(entry.rate.r_in)))
+        add = stream_count(r_in)
 
     # Input-side interleaving feeds window units only (WINDOW_KINDS): FCUs
     # hold their inputs themselves.  The FIFO on the link inside a lowered
     # depthwise-separable pair is part of the layer and always counted.
     if producer is not None:
         if ly.internal_input:
-            parts.append(ResourceVector(registers=ly.d_in))
+            reg += ly.d_in
         if scope.include_interleaver and ly.kind in WINDOW_KINDS:
-            parts.append(interleaver_cost(ly.d_in, producer.interleave,
-                                          entry.rate.r_in))
-    return sum_vectors(parts)
+            _, _, _, x, _ = _interleaver_counts(ly.d_in, producer.interleave,
+                                                r_in)
+            mux += x
+    return ResourceVector(add, mul, reg, mux, mx, ly.weight_count)
 
 
 def network_cost(plan: ArchitecturePlan, scope: CostScope) -> CostReport:
@@ -309,9 +337,11 @@ def display_range(text: str) -> tuple[int, int]:
 
 
 def rate_display(r: Fraction) -> str:
-    """Exact integers and small fractions; otherwise two decimals."""
+    """Exact integers and small fractions; otherwise two decimals, unless
+    they would print a positive rate as 0.00, which prints exact too."""
     if r.denominator == 1:
         return str(r.numerator)
-    if r.denominator <= 32:
+    text = f"{float(r):.2f}"
+    if r.denominator <= 32 or text == "0.00":
         return f"{r.numerator}/{r.denominator}"
-    return f"{float(r):.2f}"
+    return text

@@ -42,6 +42,7 @@ import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from math import prod
 
 
 class SpecError(Exception):
@@ -112,7 +113,7 @@ _LAYER = {kind: _table({"kind": None, "f": "f", **fields, "name": ""},
           for kind, fields in LAYER_FIELDS.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuantFormat:
     """Two's-complement fixed-point widths for weights and activations."""
 
@@ -120,7 +121,7 @@ class QuantFormat:
     activation_bits: int = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayerSpec:
     """One lowered layer.
 
@@ -180,7 +181,6 @@ class LayerSpec:
     @property
     def weight_count(self) -> int:
         """Trained parameters, excluding biases."""
-        from math import prod
         shape = self.weight_shape
         return 0 if shape is None else prod(shape)
 
@@ -206,7 +206,7 @@ class NetworkSpec:
         return self.layers[idx].name or f"L{idx}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostic:
     severity: str        # "error" | "warning"
     layer: int | None
@@ -344,9 +344,10 @@ def validate_network(spec: NetworkSpec) -> list[Diagnostic]:
     if not spec.layers:
         err(None, "network has no layers")
         return out
-    if spec.input_rate <= 0:
+    num, den = spec.input_rate.numerator, spec.input_rate.denominator
+    if num <= 0:
         err(None, f"input rate {spec.input_rate} must be positive")
-    if spec.input_rate > spec.d0:
+    if num > spec.d0 * den:
         err(None, f"input rate {spec.input_rate} exceeds one pixel per cycle "
                   f"(channels = {spec.d0})")
     if max(spec.quant.weight_bits, spec.quant.activation_bits) > 64:

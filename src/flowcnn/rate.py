@@ -1,18 +1,21 @@
 """Exact data-rate propagation, configuration counts, output-validity
 predicates and the layout of padded maps on a stream.
 
-Rates are `fractions.Fraction` end to end: a layer fed d_in-channel pixels at
-r_in valid features per cycle produces
+Rates are `fractions.Fraction`s at every interface: a layer fed d_in-channel
+pixels at r_in valid features per cycle produces
 
     r_out = d_out * r_in / (d_in * s^2)
 
 valid features per cycle, for every layer kind.  Rates are only rounded in
-human-readable reports; 4/9 and 5/288 must compose without drift.
+human-readable reports; 4/9 and 5/288 must compose without drift.  Inside,
+each formula is evaluated on the integer numerator and denominator of r_in
+(an int rate has both), so a layer's rates cost one `Fraction` build (two
+when it stalls), not one per operation: ceil(r) is -(-num // den) and a rate
+is compared with a bound by cross-multiplying.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -22,6 +25,7 @@ import numpy as np
 from .netspec import LayerKind, LayerSpec, NetworkSpec
 
 Rate = Fraction
+_ONE = Fraction(1)   # the utilization of every layer that does not stall
 
 # the kinds that run on window units (KPUs or PPUs)
 WINDOW_KINDS = frozenset({LayerKind.CONV, LayerKind.DW_CONV,
@@ -34,7 +38,7 @@ class Flow(Enum):
     STALLED = "stalled"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayerRateInfo:
     r_in: Rate
     r_out: Rate
@@ -44,9 +48,10 @@ class LayerRateInfo:
 
 def output_rate(d_in: int, d_out: int, r_in: Rate, s: int) -> Rate:
     """Valid output features per cycle for any layer kind."""
-    if d_in <= 0 or d_out <= 0 or s <= 0 or r_in <= 0:
+    num, den = r_in.numerator, r_in.denominator
+    if d_in <= 0 or d_out <= 0 or s <= 0 or num <= 0:
         raise ValueError("rate arguments must be positive")
-    return Fraction(d_out) * r_in / (d_in * s * s)
+    return Fraction(d_out * num, d_in * s * s * den)
 
 
 def valid_output_positions(f: int, k: int, s: int, p: int) -> np.ndarray:
@@ -82,10 +87,17 @@ def map_stream(f: int, p: int) -> tuple[int, int]:
     return prefix, f * f + prefix
 
 
+def stream_count(r: Rate) -> int:
+    """ceil(r): the unit streams that carry r features per cycle."""
+    return -(-r.numerator // r.denominator)
+
+
 def interleave_count(kind: LayerKind, d_out: int, r_in: Rate) -> int:
     """I: the output channels on one KPU stream at input rate r_in, which
     is ceil(1/r_in) capped at d_out for a standard conv and 1 otherwise."""
-    return min(math.ceil(1 / r_in), d_out) if kind == LayerKind.CONV else 1
+    if kind != LayerKind.CONV:
+        return 1
+    return min(-(-r_in.denominator // r_in.numerator), d_out)
 
 
 def config_count(kind: LayerKind, d_in: int, d_out: int, r_in: Rate) -> int:
@@ -93,7 +105,7 @@ def config_count(kind: LayerKind, d_in: int, d_out: int, r_in: Rate) -> int:
     position at input rate r_in, and the slots the engine runs there.  Each
     of the ceil(r_in) unit streams carries q = ceil(d_in / ceil(r_in)) input
     channels, and each of them meets I output channels in turn."""
-    return -(-d_in // math.ceil(r_in)) * interleave_count(kind, d_out, r_in)
+    return -(-d_in // stream_count(r_in)) * interleave_count(kind, d_out, r_in)
 
 
 def classify_flow(layer: LayerSpec, r_in: Rate) -> LayerRateInfo:
@@ -107,17 +119,14 @@ def classify_flow(layer: LayerSpec, r_in: Rate) -> LayerRateInfo:
     """
     r_out = output_rate(layer.d_in, layer.d_out, r_in, layer.s)
     if layer.kind not in WINDOW_KINDS:
-        return LayerRateInfo(r_in, r_out, Flow.CONTINUOUS, Fraction(1))
+        return LayerRateInfo(r_in, r_out, Flow.CONTINUOUS, _ONE)
 
     c = config_count(layer.kind, layer.d_in, layer.d_out, r_in)
-    util = min(Fraction(1), r_in * c / layer.d_in)
-    if util < 1:
-        flow = Flow.STALLED
-    elif c > 1:
-        flow = Flow.RESTORED_BY_INTERLEAVING
-    else:
-        flow = Flow.CONTINUOUS
-    return LayerRateInfo(r_in, r_out, flow, util)
+    fill, pace = r_in.numerator * c, r_in.denominator * layer.d_in
+    if fill < pace:
+        return LayerRateInfo(r_in, r_out, Flow.STALLED, Fraction(fill, pace))
+    flow = Flow.RESTORED_BY_INTERLEAVING if c > 1 else Flow.CONTINUOUS
+    return LayerRateInfo(r_in, r_out, flow, _ONE)
 
 
 def propagate_rates(spec: NetworkSpec) -> list[LayerRateInfo]:

@@ -1,6 +1,15 @@
 """Brute-force references that the tests check closed forms against."""
 
+import math
 from collections import Counter
+from fractions import Fraction
+
+from flowcnn.alloc import ConvAllocation, FcuAllocation
+from flowcnn.cost import (ResourceVector, accumulator_cost, bias_cost,
+                          fcu_cost, interleaver_cost, kpu_cost, ppu_cost,
+                          sum_vectors)
+from flowcnn.netspec import LayerKind
+from flowcnn.rate import WINDOW_KINDS, Flow, LayerRateInfo
 
 
 def output_valid(n: int, f: int, k: int, s: int, p: int) -> bool:
@@ -29,3 +38,67 @@ def fifo_peak(arrivals, departures) -> int:
             depth += 1
             peak = max(peak, depth)
     return peak
+
+
+# The rate formulas in Fraction arithmetic, one operation at a time; the
+# library evaluates them on integer numerators and denominators.
+
+def output_rate(d_in: int, d_out: int, r_in, s: int) -> Fraction:
+    return Fraction(d_out) * r_in / (d_in * s * s)
+
+
+def interleave_count(kind: LayerKind, d_out: int, r_in) -> int:
+    return min(math.ceil(1 / r_in), d_out) if kind == LayerKind.CONV else 1
+
+
+def config_count(kind: LayerKind, d_in: int, d_out: int, r_in) -> int:
+    return -(-d_in // math.ceil(r_in)) * interleave_count(kind, d_out, r_in)
+
+
+def classify_flow(layer, r_in) -> LayerRateInfo:
+    r_out = output_rate(layer.d_in, layer.d_out, r_in, layer.s)
+    if layer.kind not in WINDOW_KINDS:
+        return LayerRateInfo(r_in, r_out, Flow.CONTINUOUS, Fraction(1))
+    c = config_count(layer.kind, layer.d_in, layer.d_out, r_in)
+    util = min(Fraction(1), r_in * c / layer.d_in)
+    if util < 1:
+        flow = Flow.STALLED
+    elif c > 1:
+        flow = Flow.RESTORED_BY_INTERLEAVING
+    else:
+        flow = Flow.CONTINUOUS
+    return LayerRateInfo(r_in, r_out, flow, util)
+
+
+def cycle_budget(plan) -> int:
+    return max(math.ceil(Fraction(e.layer.feature_count) / e.rate.r_in)
+               for e in plan.layers)
+
+
+def layer_cost(entry, scope, producer) -> ResourceVector:
+    """A layer row priced as a list of part vectors, each unit price
+    `scaled` by its unit count, summed by `sum_vectors`."""
+    ly, unit = entry.layer, entry.unit
+    parts = [ResourceVector(weights=ly.weight_count)]
+    if isinstance(unit, ConvAllocation):
+        unit_cost = ppu_cost if entry.n_ppu else kpu_cost
+        parts.append(unit_cost(ly.k, ly.f, unit.c).scaled(unit.n_units))
+        if unit.accumulators:
+            parts.append(accumulator_cost(ly.d_out, unit.accumulators,
+                                          unit.n_units))
+        if scope.include_bias and ly.has_weights:
+            parts.append(bias_cost(
+                ly.d_out, unit.c if ly.kind == LayerKind.DW_CONV else unit.i))
+        if unit.continuity_break:
+            parts.append(ResourceVector(registers=ly.d_out))
+    elif isinstance(unit, FcuAllocation):
+        parts.append(fcu_cost(unit.j, unit.h, unit.c, 1).scaled(unit.n_fcu))
+    elif ly.kind == LayerKind.RESIDUAL_ADD:
+        parts.append(ResourceVector(adders=math.ceil(entry.rate.r_in)))
+    if producer is not None:
+        if ly.internal_input:
+            parts.append(ResourceVector(registers=ly.d_in))
+        if scope.include_interleaver and ly.kind in WINDOW_KINDS:
+            parts.append(interleaver_cost(ly.d_in, producer.interleave,
+                                          entry.rate.r_in))
+    return sum_vectors(parts)

@@ -65,6 +65,24 @@ def test_closed_stdout_ends_quietly(rex_file, unbuffered):
     assert proc.returncode == 0
 
 
+@pytest.mark.parametrize("command, column", [("analyze", -2), ("plan", -1)],
+                         ids=["analyze", "plan"])
+def test_slow_rates_print_exact_not_zero(capsys, tmp_path, rex_file,
+                                         command, column):
+    # at 1/1000 the rates from P1 on are below 0.005; two decimals printed
+    # each of them as 0.00
+    doc = json.loads(Path(rex_file).read_text())
+    doc["input"]["rate"] = "1/1000"
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, command, str(path))
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()[1:6]]
+    assert [row[column] for row in rows] == \
+        ["0.01", "1/500", "1/250", "1/2250", "1/57600"]
+    assert "0.00" not in out
+
+
 def test_analyze_json_format(capsys, rex_file):
     code, out, _ = run(capsys, "analyze", rex_file, "--format", "json")
     assert code == 0

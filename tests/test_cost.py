@@ -58,6 +58,9 @@ def test_interleaver_cost():
     assert interleaver_cost(8, 1, Fraction(2)).mux2 == 6
     assert interleaver_cost(8, 1, Fraction(8)).mux2 == 0
     assert interleaver_cost(16, 1, Fraction(4)).mux2 == 12
+    # a fractional rate still needs ceil(r_in) continuous streams
+    assert interleaver_cost(8, 1, Fraction(3, 2)).mux2 == 6
+    assert interleaver_cost(8, 2, Fraction(1, 3)).mux2 == 3
 
 
 def test_ppu_cost():

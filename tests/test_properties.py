@@ -1,18 +1,25 @@
 """Invariant suites, runnable standalone: rate conservation, register
 invariance under rate, the fully parallel limit, monotone KPU halving,
-padding equivalence and byte-level determinism."""
+padding equivalence, byte-level determinism, and the integer rate and
+pricing formulas against their Fraction and part-list references."""
 
 import json
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import brute_force as ref
 from brute_force import output_valid
-from flowcnn.alloc import alloc_conv, plan_network
-from flowcnn.cost import kpu_cost, accumulator_cost, sweep_rates
-from flowcnn.models import random_network
-from flowcnn.netspec import LayerKind, parse_network, serialize_network
+from flowcnn import rate
+from flowcnn.alloc import AllocError, alloc_conv, plan_network, plan_to_dict
+from flowcnn.cost import (SCOPES, kpu_cost, accumulator_cost, layer_cost,
+                          sweep_rates)
+from flowcnn.models import data_path, mobilenet_v1, random_network
+from flowcnn.netspec import (LayerKind, LayerSpec, NetworkSpec,
+                             load_network_file, parse_network,
+                             serialize_network)
 from flowcnn.oracle import (gen_network_weights, gen_random, ref_conv2d,
                             weights_to_json)
 from flowcnn.rate import valid_output_positions
@@ -162,3 +169,100 @@ def test_accumulator_scaling_linear():
         if base is None:
             base = per_kpu
         assert per_kpu == base
+
+
+# Positive rates: ints, and fractions above and below 1 drawn with a common
+# factor that `Fraction` reduces away
+rates = st.one_of(
+    st.integers(1, 64),
+    st.builds(lambda n, d, g: Fraction(n * g, d * g), st.integers(1, 300),
+              st.integers(1, 300), st.integers(1, 6)))
+layers = st.builds(
+    lambda kind, f, k, s, d_in, d_out: LayerSpec(kind, f, min(k, f), s, 0,
+                                                 d_in, d_out),
+    st.sampled_from(list(LayerKind)), st.integers(1, 16), st.integers(1, 5),
+    st.integers(1, 3), st.integers(1, 40), st.integers(1, 40))
+
+
+@settings(max_examples=300)
+@given(layers, rates)
+def test_integer_rate_formulas_equal_fraction_reference(ly, r):
+    args = ly.kind, ly.d_in, ly.d_out, r
+    assert rate.interleave_count(ly.kind, ly.d_out, r) \
+        == ref.interleave_count(ly.kind, ly.d_out, r)
+    assert rate.config_count(*args) == ref.config_count(*args)
+    out = rate.output_rate(ly.d_in, ly.d_out, r, ly.s)
+    want = ref.output_rate(ly.d_in, ly.d_out, r, ly.s)
+    assert (out, type(out)) == (want, type(want))
+    info, expected = rate.classify_flow(ly, r), ref.classify_flow(ly, r)
+    assert info == expected
+    assert type(info.r_out) is type(expected.r_out)
+    assert type(info.utilization) is type(expected.utilization)
+
+
+@settings(max_examples=150)
+@given(layers.filter(lambda ly: ly.kind in rate.WINDOW_KINDS), rates)
+def test_integer_plan_equals_fraction_reference(ly, r):
+    """A one-layer window network at input rate r: its plan rows and cycle
+    budget are those of the Fraction formulas, and a rate above one pixel
+    per cycle is refused."""
+    spec = NetworkSpec([ly], (ly.f, ly.f, ly.d_in), r)
+    if r > ly.d_in:
+        with pytest.raises(AllocError, match="above one pixel"):
+            plan_network(spec)
+        return
+    plan = plan_network(spec)
+    assert plan.cycle_budget == ref.cycle_budget(plan)
+    info = ref.classify_flow(ly, r)
+    c = ref.config_count(ly.kind, ly.d_in, ly.d_out, r)
+    got = plan_to_dict(plan)
+    row = got["layers"][0]
+    assert (row["r_in"], row["r_out"], row["flow"], row["utilization"],
+            row["configs"]) == (str(r), str(info.r_out), info.flow.value,
+                                str(info.utilization), c)
+    outrun = info.flow is not rate.Flow.STALLED and r * c > ly.d_in
+    assert any("outrun" in w for w in got["warnings"]) == outrun
+    assert any("stalls" in w for w in got["warnings"]) \
+        == (info.flow is rate.Flow.STALLED)
+
+
+def _plans(spec):
+    """The pipelined plan and its variants, with the fully parallel plan
+    that the `parallel` scope prices; a variant that cannot be allocated
+    is left out."""
+    parallel = plan_network(spec, parallel=True)
+    variants = [plan_network(spec), parallel]
+    for kwargs in ({"shared_pointwise_streams": True}, {"min_h": 4}):
+        try:
+            variants.append(plan_network(spec, **kwargs))
+        except AllocError:
+            pass
+    return variants, parallel
+
+
+def _assert_pricing_equals_parts_reference(spec):
+    variants, parallel = _plans(spec)
+    for plan in variants:
+        for name, scope in SCOPES.items():
+            priced = parallel if name == "parallel" else plan
+            for idx, entry in enumerate(priced.layers):
+                producer = priced.layers[idx - 1] if idx else None
+                assert layer_cost(entry, scope, producer) \
+                    == ref.layer_cost(entry, scope, producer), \
+                    (name, spec.layer_name(idx))
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 10_000))
+def test_pricing_equals_parts_reference_random(seed):
+    _assert_pricing_equals_parts_reference(random_network(seed))
+
+
+@pytest.mark.parametrize("spec", [
+    *(load_network_file(data_path(name)) for name in (
+        "running_example.json", "sweep_conv.json", "sweep_separable.json")),
+    *(mobilenet_v1(alpha) for alpha in (0.25, 0.5, 0.75, 1.0)),
+], ids=["running_example", "sweep_conv", "sweep_separable",
+        "mbv1-025", "mbv1-050", "mbv1-075", "mbv1-100"])
+def test_pricing_equals_parts_reference_shipped(spec):
+    _assert_pricing_equals_parts_reference(spec)
