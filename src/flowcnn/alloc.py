@@ -205,14 +205,15 @@ def plan_network(spec: NetworkSpec,
 
     parallel=True prices the fully parallel reference point: every layer is
     fed at r_in = d_in (the whole input per cycle), giving C = 1 everywhere
-    and a 1:1 neuron-to-unit mapping, so min_h does not apply to it.  A
+    and a 1:1 neuron-to-unit mapping, so neither min_h nor
+    shared_pointwise_streams applies to it.  A
     window layer (conv, depthwise or pool) takes at most one pixel per
     cycle, r_in <= d_in; a faster rate is refused.
     """
     if parallel:
         rates = [classify_flow(ly, Fraction(_unit_inputs(ly)))
                  for ly in spec.layers]
-        min_h = 1
+        min_h, shared_pointwise_streams = 1, False
     elif rates is None:
         rates = propagate_rates(spec)
     if len(rates) != len(spec.layers):

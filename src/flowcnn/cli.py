@@ -29,6 +29,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -264,7 +265,8 @@ def _load_inputs(args, spec: NetworkSpec):
 
 def cmd_simulate(args) -> int:
     spec = _load_spec(args.spec)
-    wanted = tuple(part for part in (args.trace or "").split(",") if part)
+    # split at the commas outside [...], which a signal name holds
+    wanted = tuple(re.findall(r"(?:[^,\[]|\[[^\]]*\]?)+", args.trace or ""))
     if args.trace and not wanted:
         raise CliError(f"--trace {args.trace!r} names no signal substring")
     plan = plan_network(spec, min_h=args.min_h)

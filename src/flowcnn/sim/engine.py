@@ -24,11 +24,11 @@ from the delay-line formula in array form: a KPU or PPU window is a fixed
 sum or max of taps that streamed in a fixed number of positions earlier,
 and an FCU neuron is a running sum over its batches.  Each layer's values
 are computed once, at its valid outputs only, over all input channels at
-once.  Tap (i, m) of the window at output (r, c) reads map pixel (r*s + i -
-p, c*s + m - p), so each tap is one strided slice of the feed's (maps, f, f,
-d_in) map over the outputs where it lands inside the map, an index range
-per tap row and column; elsewhere it reads a padding zero (rows: the
-stream's padding positions; columns: what `pad_gates` masks).  A standard
+once.  The padding rule is one border: each map of the feed, bordered with
+p zeros on every side, holds tap (i, m) of the window at output (r, c) at
+pixel (r*s + i, c*s + m), so every tap is one full strided slice of the
+bordered map, and a tap outside the map reads a border zero as the stream
+reads a padding position or a column that `pad_gates` masks.  A standard
 conv copies the slices into a buffer and multiplies it by the (k*k*d_in,
 d_out) kernel matrix, a depthwise conv (lowered average pooling included)
 adds each slice times its kernel entry and a max pool takes their maximum;
@@ -217,16 +217,6 @@ def _matmul(rows: np.ndarray, kern: np.ndarray) -> np.ndarray:
     return (rows[:, :, :, 0].transpose(2, 0, 1) @ kern).transpose(1, 2, 0)
 
 
-def _tap_range(i: int, f: int, s: int, p: int, n: int) -> tuple[int, int]:
-    """[lo, hi): the rows r of an n-row output whose tap row i reads map row
-    r*s + i - p inside the f-row map, lo = ceil((p-i)/s) and hi =
-    floor((f-1-i+p)/s) + 1 clipped to [0, n]; columns alike.  Elsewhere the
-    tap reads a padding zero: a padding position of the stream (rows) or a
-    multiplier column that pad_gates masks (columns)."""
-    lo = min(n, max(0, -((i - p) // s)))
-    return lo, max(lo, min(n, (f - 1 - i + p) // s + 1))
-
-
 def _stream_windows(values: np.ndarray, w, f: int, k: int, p: int,
                     ch: int) -> np.ndarray:
     """Input channel ch's window through each of its (ch, oc) pairs at every
@@ -273,16 +263,16 @@ def _window_values(values: np.ndarray, w, f: int, k: int, s: int, p: int,
     n*n, d_out, *TS) for the n x n output grid, with w as in
     `_product_gates` (None for a max pool).
 
-    Tap (i, m) of the window at output (r, c) reads map pixel (r*s + i - p,
-    c*s + m - p), so over the outputs where it lands inside the map
-    (`_tap_range`) each tap is one strided slice of the (maps, f, f, d_in,
-    *TS) feed, and a tap outside the map is a padding zero.  A standard conv
-    copies the k*k slices of one map and a few output rows, at most
-    CHUNK_ELEMENTS, into a buffer in the product's dtype, zero outside, and
+    Each map in turn is copied into one (f+2p, f+2p, d_in, trials) buffer
+    with a zero border of width p (at p = 0 the map is read as it is), so
+    tap (i, m) of the window at output (r, c) is bordered pixel (r*s + i,
+    c*s + m), and over output rows r0..r1-1 every tap is one full strided
+    slice of it.  A standard conv copies the k*k slices of a few output
+    rows, at most CHUNK_ELEMENTS, into a buffer in the product's dtype and
     multiplies it by the (k*k*d_in, d_out) kernel matrix; a depthwise conv
-    adds each tap's slice times its kernel entry in int64, which wraps mod
-    2**64 as the delay line does; a max pool takes each tap's maximum, and
-    a window with a tap outside the map the zero's too.
+    adds each slice times its kernel entry in int64, which wraps mod 2**64
+    as the delay line does; a max pool takes their maximum, the border's
+    zeros among them.
 
     When the bound of `_product_gates` cannot prove that every (input,
     output) channel pair fits bits, the pairs are width-checked first, in
@@ -296,62 +286,48 @@ def _window_values(values: np.ndarray, w, f: int, k: int, s: int, p: int,
         for oc in range(res.shape[1]):
             _check_width(res[:, oc], bits, "PPU window max"
                          if w is None else "KPU window sum")
-    n = (f - k + 2 * p) // s + 1
-    # per tap row (column) i: the output rows [lo, hi) inside the map, and
-    # the map rows read there
-    spans = [_tap_range(i, f, s, p, n) for i in range(k)]
-    reads = [slice(lo * s + i - p, hi * s + i - p, s)
-             for i, (lo, hi) in enumerate(spans)]
-    x = values.reshape((n_maps, f, f) + values.shape[2:])
-    if w is None or w.shape[1] != d_in:
-        if w is not None:   # kern[ch, i, m] against (..., d_in, *TS)
-            kern = w.reshape((d_in, k, k) + (w.shape[4:] or (1,) * len(ts)))
-        out = np.full((n_maps, n, n) + values.shape[2:],
-                      0 if w is not None else np.iinfo(np.int64).min,
-                      dtype=np.int64)
-        for t in range(k * k):
-            i, m = divmod(t, k)
-            dst = out[:, slice(*spans[i]), slice(*spans[m])]
-            if w is None:
-                np.maximum(dst, x[:, reads[i], reads[m]], out=dst)
-            else:
-                dst += x[:, reads[i], reads[m]] * kern[:, i, m]
-        if w is None:   # the windows with a tap outside the map
-            lo, hi = max(lo for lo, _ in spans), min(hi for _, hi in spans)
-            for edge in (out[:, :lo], out[:, hi:], out[:, :, :lo],
-                         out[:, :, hi:]):
-                np.maximum(edge, 0, out=edge)
-        return out.reshape((n_maps, n * n) + values.shape[2:])
-
-    d_out, kk, n_trials = w.shape[0], k * k, math.prod(ts)
-    sets = n_trials if w.ndim > 4 else 1
-    # the kernel as kern[set, tap*d_in + ch, oc]
-    kern = w.reshape(d_out, d_in, kk, sets).transpose(3, 2, 1, 0) \
-        .reshape(sets, kk * d_in, d_out).astype(dtype)
-    x = x.reshape(n_maps, f, f, d_in, n_trials)
+    n, kk, n_trials = (f - k + 2 * p) // s + 1, k * k, math.prod(ts)
+    sets = n_trials if w is not None and w.ndim > 4 else 1
+    d_out = d_in if w is None else w.shape[0]
+    standard = w is not None and w.shape[1] == d_in
+    step = n   # output rows per chunk: a whole map but in a standard conv
+    if standard:   # the kernel as kern[set, tap*d_in + ch, oc]
+        kern = w.reshape(d_out, d_in, kk, sets).transpose(3, 2, 1, 0) \
+            .reshape(sets, kk * d_in, d_out).astype(dtype)
+        step = max(1, CHUNK_ELEMENTS // (n_trials * n * max(kk * d_in, d_out)))
+        buf = np.empty((min(step, n), n, kk, d_in, n_trials), dtype=dtype)
+    elif w is not None:   # kern[ch, tap, set] against (..., d_in, trials)
+        kern = w.reshape(d_in, kk, sets)
+    x = values.reshape(n_maps, f, f, d_in, n_trials)
+    if p:   # the one bordered map; only its interior is ever written
+        src = np.zeros((f + 2 * p, f + 2 * p, d_in, n_trials), dtype=np.int64)
     out = np.empty((n_maps, n, n, d_out, n_trials), dtype=np.int64)
-    step = max(1, CHUNK_ELEMENTS // (n_trials * n * max(kk * d_in, d_out)))
-    # the taps of up to step output rows; no copy writes a column outside
-    # the map, which stays zero
-    buf = np.zeros((min(step, n), n, kk, d_in, n_trials), dtype=dtype)
     for mp in range(n_maps):
+        if p:
+            src[p:p + f, p:p + f] = x[mp]
+        else:
+            src = x[mp]
         for r0 in range(0, n, step):
             r1 = min(n, r0 + step)
-            rows = buf[:r1 - r0]
-            for t in range(kk):
-                i, m = divmod(t, k)
-                lo = min(max(spans[i][0], r0), r1)
-                hi = max(lo, min(spans[i][1], r1))
-                tap = rows[:, :, t]
-                if lo > r0:
-                    tap[:lo - r0] = 0
-                if hi < r1:
-                    tap[hi - r0:] = 0
-                tap[lo - r0:hi - r0, slice(*spans[m])] = \
-                    x[mp, lo * s + i - p:hi * s + i - p:s, reads[m]]
-            out[mp, r0:r1] = _matmul(
-                rows.reshape(-1, kk * d_in, sets, n_trials // sets), kern
-            ).reshape(rows.shape[:2] + (d_out, n_trials))
+            taps = [src[r0 * s + i:(r1 - 1) * s + i + 1:s,
+                        m:m + (n - 1) * s + 1:s]
+                    for i in range(k) for m in range(k)]
+            dst = out[mp, r0:r1]
+            if standard:
+                rows = buf[:r1 - r0]
+                for t, tap in enumerate(taps):
+                    rows[:, :, t] = tap
+                dst[...] = _matmul(
+                    rows.reshape(-1, kk * d_in, sets, n_trials // sets), kern
+                ).reshape(rows.shape[:2] + (d_out, n_trials))
+            elif w is None:
+                dst[...] = taps[0]
+                for tap in taps[1:]:
+                    np.maximum(dst, tap, out=dst)
+            else:
+                dst[...] = 0
+                for t, tap in enumerate(taps):
+                    dst += tap * kern[:, t]
     return out.reshape((n_maps, n * n, d_out) + ts)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from flowcnn.alloc import (AllocError, ConvAllocation, FcuAllocation,
-                           alloc_conv, plan_network, size_fcu)
+                           alloc_conv, plan_network, plan_to_dict, size_fcu)
 from flowcnn.cost import accumulator_cost
 from flowcnn.models import mobilenet_v1, random_network, running_example
 from flowcnn.netspec import LayerKind, LayerSpec, QuantFormat, parse_network
@@ -197,6 +197,18 @@ def test_plan_parallel_reference(rex_spec):
     for e in plan.layers:
         assert e.configs == 1
         assert e.interleave == 1
+
+
+def test_plan_parallel_ignores_shared_pointwise():
+    # the fully parallel point has one neuron per FCU: pointwise layers at
+    # C = 1, with or without shared pointwise streams
+    spec = mobilenet_v1(0.25)
+    plan = plan_network(spec, parallel=True)
+    assert plan_to_dict(plan_network(
+        spec, parallel=True, shared_pointwise_streams=True)) == \
+        plan_to_dict(plan)
+    assert {e.unit.c for e in plan.layers
+            if e.layer.kind == LayerKind.PW_CONV} == {1}
 
 
 def test_plan_single_layer():

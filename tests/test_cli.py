@@ -211,6 +211,17 @@ def test_simulate_trace_drops_empty_parts(capsys, rex_file):
     assert code == 0 and out == alone
 
 
+@pytest.mark.parametrize("trace, n_events", [("C1.y[0,0]", 1),
+                                             ("C1.y[0,0],F1", 11)])
+def test_simulate_trace_takes_printed_signal_names(capsys, rex_file, trace,
+                                                   n_events):
+    # a signal name's comma, inside its brackets, does not split the list
+    code, out, _ = run(capsys, "simulate", rex_file, "--trace", trace,
+                       "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["events"]) == n_events
+
+
 def test_trace_command_fc(capsys, rex_file):
     code, out, _ = run(capsys, "trace", rex_file, "--layer", "F1", "--zero")
     assert code == 0
@@ -315,6 +326,13 @@ def mbv1_file(tmp_path):
     path = tmp_path / "mobilenet025.json"
     path.write_text(json.dumps(serialize_network(mobilenet_v1(0.25))))
     return str(path)
+
+
+def test_parallel_point_ignores_shared_pointwise(capsys, mbv1_file):
+    code, out, _ = run(capsys, "plan", mbv1_file, "--parallel")
+    assert code == 0
+    assert run(capsys, "plan", mbv1_file, "--parallel",
+               "--shared-pointwise") == (0, out, "")
 
 
 def test_analyze_scaled_model_row_count(capsys, mbv1_file):
