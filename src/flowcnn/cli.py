@@ -243,21 +243,39 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _check_range(values: np.ndarray, bits: int, field: str,
+                 where: str) -> None:
+    """Refuse a file value outside the signed width the document declares
+    for it; the library itself computes on any int64."""
+    half = 1 << (bits - 1)
+    if values.size:
+        lo, hi = int(values.min()), int(values.max())
+        if lo < -half or hi >= half:
+            raise CliError(f"{where} holds {lo if lo < -half else hi}, "
+                           f"outside [{-half}, {half}) of {field} {bits}")
+
+
 def _load_inputs(args, spec: NetworkSpec):
+    quant = spec.quant
     if args.input:
         try:
             x = load_tensor(args.input)
         except OSError as exc:
             raise CliError(f"cannot read {args.input}: {exc}") from None
+        _check_range(x, quant.activation_bits, "activation_bits", args.input)
     else:
         h, w, c = spec.input_shape
-        x = gen_random((h, w, c), args.seed, spec.quant.activation_bits)
+        x = gen_random((h, w, c), args.seed, quant.activation_bits)
     if args.weights:
         try:
             with open(args.weights, "r", encoding="utf-8") as fh:
                 weights = weights_from_json(fh.read())
         except OSError as exc:
             raise CliError(f"cannot read {args.weights}: {exc}") from None
+        for name, entry in weights.items():
+            # biases have no declared width
+            _check_range(entry["w"], quant.weight_bits, "weight_bits",
+                         f"{args.weights}: layer {name!r}")
     else:
         weights = gen_network_weights(spec, args.seed)
     return weights, x

@@ -16,11 +16,10 @@ counters cost nothing.  Scope flags make the accounting conventions of the
 different report styles explicit; FIFO registers on the link inside a lowered
 depthwise-separable pair belong to the layer itself and are always counted.
 
-Each formula is written once, as a private function that returns plain int
-counts in `ResourceVector` field order.  The public `*_cost` functions wrap
-one such count tuple in a vector; `layer_cost` keeps one count row per layer,
-adds each part's counts field by field, each unit price times its unit
-count, and builds one vector for the row.
+Each part's price is stated once, by a private `_<part>_counts` formula
+that returns plain int counts.  `layer_cost` keeps one count row per layer,
+adds each part's counts into the row, each unit price times its unit count,
+and builds one vector for the row.
 """
 
 from __future__ import annotations
@@ -46,9 +45,6 @@ class ResourceVector:
     mux2: int = 0
     max_units: int = 0
     weights: int = 0
-
-    def scaled(self, n: int) -> "ResourceVector":
-        return ResourceVector(*[v * n for v in _field_values(self)])
 
 
 _field_values = attrgetter(*(f.name for f in fields(ResourceVector)))
@@ -84,8 +80,10 @@ SCOPES = {"table6": SCOPE_TABLE6, "table7": SCOPE_TABLE7,
           "table9": SCOPE_TABLE9, "parallel": SCOPE_TABLE7}
 
 
-# Each `_<part>_counts` returns its part's (adders, multipliers, registers,
-# mux2, max_units); weights belong to the layer and are priced per row.
+# The unit formulas return one unit's (adders, multipliers, registers,
+# mux2, max_units); each shared part returns only the counts it prices:
+# accumulation (adders, registers), bias (adders, mux2) and interleaving its
+# mux2.  Weights belong to the layer and are priced per row.
 
 def _window_registers(k: int, f: int, c: int) -> int:
     """Pipeline and line-buffer state of one KPU or PPU, per configuration."""
@@ -101,53 +99,21 @@ def _ppu_counts(k: int, f: int, c: int) -> tuple[int, ...]:
 
 
 def _accumulator_counts(d_out: int, accumulators: int,
-                        n_kpu: int) -> tuple[int, ...]:
-    return accumulators * -(-n_kpu // d_out), 0, d_out, 0, 0
+                        n_kpu: int) -> tuple[int, int]:
+    return accumulators * -(-n_kpu // d_out), d_out
 
 
-def _bias_counts(d_out: int, i: int) -> tuple[int, ...]:
+def _bias_counts(d_out: int, i: int) -> tuple[int, int]:
     streams = -(-d_out // i)
-    return streams, 0, 0, d_out - streams, 0
+    return streams, d_out - streams
 
 
-def _interleaver_counts(d_in: int, i: int, r_in: Rate) -> tuple[int, ...]:
-    return 0, 0, 0, max(0, -(-d_in // i) - stream_count(r_in)), 0
+def _interleaver_counts(d_in: int, i: int, r_in: Rate) -> int:
+    return max(0, -(-d_in // i) - stream_count(r_in))
 
 
 def _fcu_counts(j: int, h: int, c: int) -> tuple[int, ...]:
     return j, j, h, j * (c - 1), 0
-
-
-def kpu_cost(k: int, f: int, c: int) -> ResourceVector:
-    """One KPU: transposed-form MACs plus per-configuration state."""
-    return ResourceVector(*_kpu_counts(k, f, c))
-
-
-def accumulator_cost(d_out: int, accumulators: int,
-                     n_kpu: int) -> ResourceVector:
-    """Cross-channel accumulation behind the KPUs of one conv layer: each
-    of the plan's accumulators sums ceil(#KPU / d_out) KPU outputs."""
-    return ResourceVector(*_accumulator_counts(d_out, accumulators, n_kpu))
-
-
-def bias_cost(d_out: int, i: int) -> ResourceVector:
-    """One bias adder per output stream, with an I:1 constant mux each."""
-    return ResourceVector(*_bias_counts(d_out, i))
-
-
-def interleaver_cost(d_in: int, i: int, r_in: Rate) -> ResourceVector:
-    """Interleave d_in/I producer streams into ceil(r_in) continuous ones."""
-    return ResourceVector(*_interleaver_counts(d_in, i, r_in))
-
-
-def ppu_cost(k: int, f: int, c: int) -> ResourceVector:
-    """One PPU: comparator tree plus the same line-buffer state as a KPU."""
-    return ResourceVector(*_ppu_counts(k, f, c))
-
-
-def fcu_cost(j: int, h: int, c: int, n_fcu: int) -> ResourceVector:
-    """n_fcu FCUs with j inputs, h neurons and c weight configurations."""
-    return ResourceVector(*(n_fcu * v for v in _fcu_counts(j, h, c)))
 
 
 @dataclass(slots=True)
@@ -196,12 +162,12 @@ def layer_cost(entry: LayerAllocation, scope: CostScope,
         a, m, r, x, p = counts(ly.k, ly.f, unit.c)
         add, mul, reg, mux, mx = n * a, n * m, n * r, n * x, n * p
         if unit.accumulators:
-            a, _, r, _, _ = _accumulator_counts(ly.d_out, unit.accumulators, n)
+            a, r = _accumulator_counts(ly.d_out, unit.accumulators, n)
             add += a
             reg += r
         if scope.include_bias and ly.has_weights:
             # a depthwise output stream carries the C channels of its KPU
-            a, _, _, x, _ = _bias_counts(
+            a, x = _bias_counts(
                 ly.d_out, unit.c if ly.kind == LayerKind.DW_CONV else unit.i)
             add += a
             mux += x
@@ -223,9 +189,7 @@ def layer_cost(entry: LayerAllocation, scope: CostScope,
         if ly.internal_input:
             reg += ly.d_in
         if scope.include_interleaver and ly.kind in WINDOW_KINDS:
-            _, _, _, x, _ = _interleaver_counts(ly.d_in, producer.interleave,
-                                                r_in)
-            mux += x
+            mux += _interleaver_counts(ly.d_in, producer.interleave, r_in)
     return ResourceVector(add, mul, reg, mux, mx, ly.weight_count)
 
 

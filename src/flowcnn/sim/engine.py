@@ -62,7 +62,7 @@ from ..alloc import ArchitecturePlan, FcuAllocation, LayerAllocation
 from ..netspec import LayerKind, NetworkSpec
 from ..oracle import wrap_to_width
 from ..rate import map_stream, pad_gates, valid_output_positions
-from .units import _check_width, _extremes, _peak
+from .units import WidthOverflow, _check_width, _extremes, _peak
 
 CHUNK_ELEMENTS = 1 << 18   # bound on a tap or product chunk of a window
 EXACT_FLOAT = 1 << 53      # float64 adds integers below this exactly
@@ -490,7 +490,8 @@ def simulate_network(plan: ArchitecturePlan, weights: dict,
     results.  Each layer's record keeps its own output; with truncate, the
     next layer reads it wrapped to the activation width, and so do the
     outputs.  Outputs are bit-exact against the reference inference under
-    the same truncate setting.
+    the same truncate setting.  A value past its planned width raises
+    WidthOverflow with the layer's name in front.
     """
     spec = plan.spec
     if isinstance(x_maps, np.ndarray):
@@ -541,10 +542,13 @@ def simulate_network(plan: ArchitecturePlan, weights: dict,
                     f"{shape}" + (f" or {shape + ts}" if ts else ""))
         if bias is not None:   # against (maps, pixels, d_out, *TS)
             bias = bias.reshape(bias.shape + (1,) * (1 + len(ts) - bias.ndim))
-        if isinstance(entry.unit, FcuAllocation):
-            sim = _run_fcu_layer(entry, name, feed, w, bias, ts)
-        else:
-            sim = _run_conv_like(entry, feed, w, bias)
+        try:
+            if isinstance(entry.unit, FcuAllocation):
+                sim = _run_fcu_layer(entry, name, feed, w, bias, ts)
+            else:
+                sim = _run_conv_like(entry, feed, w, bias)
+        except WidthOverflow as exc:
+            raise WidthOverflow(f"{name}: {exc}") from None
         sims.append(sim)
         # the consumer reads the record, or a copy wrapped to the
         # activation width that the next layer's own view replaces

@@ -5,9 +5,9 @@ from collections import Counter
 from fractions import Fraction
 
 from flowcnn.alloc import ConvAllocation, FcuAllocation
-from flowcnn.cost import (ResourceVector, accumulator_cost, bias_cost,
-                          fcu_cost, interleaver_cost, kpu_cost, ppu_cost,
-                          sum_vectors)
+from flowcnn.cost import (ResourceVector, _accumulator_counts, _bias_counts,
+                          _fcu_counts, _interleaver_counts, _kpu_counts,
+                          _ppu_counts, sum_vectors)
 from flowcnn.netspec import LayerKind
 from flowcnn.rate import WINDOW_KINDS, Flow, LayerRateInfo
 
@@ -76,29 +76,34 @@ def cycle_budget(plan) -> int:
 
 
 def layer_cost(entry, scope, producer) -> ResourceVector:
-    """A layer row priced as a list of part vectors, each unit price
-    `scaled` by its unit count, summed by `sum_vectors`."""
+    """A layer row priced as a list of part vectors, one built from each
+    part's counts, each unit price times its unit count, summed by
+    `sum_vectors`."""
     ly, unit = entry.layer, entry.unit
     parts = [ResourceVector(weights=ly.weight_count)]
     if isinstance(unit, ConvAllocation):
-        unit_cost = ppu_cost if entry.n_ppu else kpu_cost
-        parts.append(unit_cost(ly.k, ly.f, unit.c).scaled(unit.n_units))
+        counts = _ppu_counts if entry.n_ppu else _kpu_counts
+        parts.append(ResourceVector(*(unit.n_units * v for v in counts(
+            ly.k, ly.f, unit.c))))
         if unit.accumulators:
-            parts.append(accumulator_cost(ly.d_out, unit.accumulators,
-                                          unit.n_units))
+            adders, registers = _accumulator_counts(
+                ly.d_out, unit.accumulators, unit.n_units)
+            parts.append(ResourceVector(adders=adders, registers=registers))
         if scope.include_bias and ly.has_weights:
-            parts.append(bias_cost(
-                ly.d_out, unit.c if ly.kind == LayerKind.DW_CONV else unit.i))
+            adders, mux2 = _bias_counts(
+                ly.d_out, unit.c if ly.kind == LayerKind.DW_CONV else unit.i)
+            parts.append(ResourceVector(adders=adders, mux2=mux2))
         if unit.continuity_break:
             parts.append(ResourceVector(registers=ly.d_out))
     elif isinstance(unit, FcuAllocation):
-        parts.append(fcu_cost(unit.j, unit.h, unit.c, 1).scaled(unit.n_fcu))
+        parts.append(ResourceVector(*(unit.n_fcu * v for v in _fcu_counts(
+            unit.j, unit.h, unit.c))))
     elif ly.kind == LayerKind.RESIDUAL_ADD:
         parts.append(ResourceVector(adders=math.ceil(entry.rate.r_in)))
     if producer is not None:
         if ly.internal_input:
             parts.append(ResourceVector(registers=ly.d_in))
         if scope.include_interleaver and ly.kind in WINDOW_KINDS:
-            parts.append(interleaver_cost(ly.d_in, producer.interleave,
-                                          entry.rate.r_in))
+            parts.append(ResourceVector(mux2=_interleaver_counts(
+                ly.d_in, producer.interleave, entry.rate.r_in)))
     return sum_vectors(parts)

@@ -7,7 +7,7 @@ import pytest
 
 from flowcnn.alloc import (AllocError, ConvAllocation, FcuAllocation,
                            alloc_conv, plan_network, plan_to_dict, size_fcu)
-from flowcnn.cost import accumulator_cost
+from flowcnn.cost import _accumulator_counts
 from flowcnn.models import mobilenet_v1, random_network, running_example
 from flowcnn.netspec import LayerKind, LayerSpec, QuantFormat, parse_network
 from flowcnn.rate import Flow, classify_flow, config_count, interleave_count
@@ -20,7 +20,7 @@ def test_alloc_conv_interleaved():
     assert (a.c, a.i, a.n_units) == (4, 1, 32)
     assert a.accumulators == 16
     # each accumulator sums ceil(32 / 16) = 2 KPU outputs per cycle
-    assert accumulator_cost(16, a.accumulators, a.n_units).adders == 16 * 2
+    assert _accumulator_counts(16, a.accumulators, a.n_units)[0] == 16 * 2
 
 
 def test_alloc_conv_low_rate_shares_kpus():
@@ -153,9 +153,10 @@ def test_one_window_rule_for_every_window_layer():
             if unit.accumulators:
                 # ceil(d_out / I) streams, each summing ceil(#KPU / d_out)
                 # KPU outputs
-                assert accumulator_cost(
-                    ly.d_out, unit.accumulators, e.n_kpu).adders \
-                    == math.ceil(ly.d_out / i) * math.ceil(e.n_kpu / ly.d_out)
+                adders, _ = _accumulator_counts(ly.d_out, unit.accumulators,
+                                                e.n_kpu)
+                assert adders == \
+                    math.ceil(ly.d_out / i) * math.ceil(e.n_kpu / ly.d_out)
     assert kinds == {(CONV, False), (DW, False), (DW, True), (POOL, False)}
 
 

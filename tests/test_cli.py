@@ -403,6 +403,20 @@ def c1_bool_among_ints(tmp_path):
     return _write(tmp_path, json.dumps(weights))
 
 
+def _c1_weight_file(tmp_path, value):
+    """Running-example weights with C1's first weight set to value."""
+    weights = gen_network_weights(running_example(), 0)
+    weights["C1"]["w"][0, 0, 0, 0] = value
+    return _write(tmp_path, weights_to_json(weights))
+
+
+@pytest.fixture()
+def c1_weight_128(tmp_path):
+    # one step past the declared 8-bit weight_bits; the datapath widths
+    # still hold it, so only the file check refuses it
+    return _c1_weight_file(tmp_path, 128)
+
+
 def _coerced_c1(tmp_path, value):
     """Running-example weights whose C1 kernel holds a value that is no
     JSON integer, which int64 conversion would coerce (1.5 to 1)."""
@@ -562,9 +576,13 @@ def missing_file(tmp_path):
     return str(tmp_path / "missing")
 
 
-def _tensor_file(tmp_path, shape):
+def _tensor_file(tmp_path, shape, first=None):
+    """A seeded 8-bit fixture; `first` replaces its first value."""
     path = str(tmp_path / "x.bin")
-    save_tensor(path, gen_random(shape, 0, 8))
+    x = gen_random(shape, 0, 8)
+    if first is not None:
+        x[0, 0, 0] = first
+    save_tensor(path, x)
     return path
 
 
@@ -576,6 +594,12 @@ def input_23x24(tmp_path):
 @pytest.fixture()
 def input_two_channels(tmp_path):
     return _tensor_file(tmp_path, (24, 24, 2))
+
+
+@pytest.fixture()
+def input_value_128(tmp_path):
+    # one step past the declared 8-bit activation_bits
+    return _tensor_file(tmp_path, (24, 24, 1), first=128)
 
 
 @pytest.fixture()
@@ -695,10 +719,12 @@ def _bad(*argv, doc="rex_file", on=None):
     _bad("simulate", "--weights", "@c1_bool_kernel"),
     _bad("simulate", "--weights", "@c1_bool_among_ints"),
     _bad("simulate", "--weights", "@missing_file"),
+    _bad("simulate", "--weights", "@c1_weight_128"),
     # input fixtures that cannot be read or do not match the 24x24x1 input
     _bad("simulate", "--input", "@missing_file"),
     _bad("simulate", "--input", "@input_23x24"),
     _bad("simulate", "--input", "@input_two_channels"),
+    _bad("simulate", "--input", "@input_value_128"),
     # an average pool takes no parameters
     _bad("simulate", "--weights", "@a1_kernel", doc="avgpool_file"),
     # a depthwise row carrying the lowering's kernel or divisor
@@ -745,6 +771,27 @@ def test_bad_input_exits_2(capsys, request, doc, argv):
     code, out, err = run(capsys, argv[0], path, *args)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value", [-129, -128, 127, 128])
+@pytest.mark.parametrize("flag", ["--weights", "--input"])
+def test_file_values_must_fit_their_declared_width(capsys, tmp_path,
+                                                    rex_file, flag, value):
+    # [-128, 128) for the running example's 8-bit weights and activations;
+    # the refusal names the file, and for weights the layer
+    if flag == "--weights":
+        path = _c1_weight_file(tmp_path, value)
+        blame = f"{path}: layer 'C1' holds {value}, outside [-128, 128) " \
+                f"of weight_bits 8"
+    else:
+        path = _tensor_file(tmp_path, (24, 24, 1), first=value)
+        blame = f"{path} holds {value}, outside [-128, 128) of " \
+                f"activation_bits 8"
+    code, out, err = run(capsys, "simulate", rex_file, flag, path)
+    if -128 <= value < 128:
+        assert code == 0 and err == ""
+    else:
+        assert (code, out, err) == (2, "", f"error: {blame}\n")
 
 
 # Running-example edits that ran at exit 0 although a field was dropped,

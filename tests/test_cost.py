@@ -4,11 +4,11 @@ import pytest
 
 from flowcnn.alloc import plan_network
 from flowcnn.cost import (SCOPE_TABLE6, SCOPE_TABLE7, SCOPE_TABLE9,
-                          ResourceVector, accumulator_cost, approx_display,
-                          bias_cost, display_range, fcu_cost,
-                          fully_parallel_reference_cost, interleaver_cost,
-                          kpu_cost, layer_cost, network_cost, ppu_cost,
-                          sum_vectors, sweep_rates)
+                          ResourceVector, _accumulator_counts, _bias_counts,
+                          _fcu_counts, _interleaver_counts, _kpu_counts,
+                          _ppu_counts, approx_display, display_range,
+                          fully_parallel_reference_cost, layer_cost,
+                          network_cost, sum_vectors, sweep_rates)
 from flowcnn.models import mobilenet_v1, running_example
 from flowcnn.netspec import LayerKind
 
@@ -18,24 +18,24 @@ RATES_FULL = [Fraction(8), Fraction(4), Fraction(2), Fraction(1),
 
 
 def test_kpu_cost_cells():
-    c = kpu_cost(7, 28, 1)
+    c = ResourceVector(*_kpu_counts(7, 28, 1))
     assert (c.adders, c.multipliers, c.registers, c.mux2) == (48, 49, 174, 0)
-    assert kpu_cost(5, 24, 1).registers == 100
-    one = kpu_cost(1, 12, 1)
+    assert ResourceVector(*_kpu_counts(5, 24, 1)).registers == 100
+    one = ResourceVector(*_kpu_counts(1, 12, 1))
     assert (one.adders, one.multipliers, one.registers, one.mux2) == (0, 1, 0, 0)
 
 
 def test_accumulator_cost():
-    a = accumulator_cost(16, 16, 32)
-    assert (a.registers, a.adders) == (16, 32)
-    assert accumulator_cost(16, 16, 128).adders == 128
+    adders, registers = _accumulator_counts(16, 16, 32)
+    assert (registers, adders) == (16, 32)
+    assert _accumulator_counts(16, 16, 128)[0] == 128
 
 
 def test_bias_cost():
-    assert (bias_cost(16, 1).adders, bias_cost(16, 1).mux2) == (16, 0)
-    assert bias_cost(8, 1).adders == 8
-    full = bias_cost(8, 8)
-    assert (full.adders, full.mux2) == (1, 7)
+    # (adders, mux2)
+    assert _bias_counts(16, 1) == (16, 0)
+    assert _bias_counts(8, 1)[0] == 8
+    assert _bias_counts(8, 8) == (1, 7)
 
 
 def test_depthwise_bias_streams_carry_c_channels():
@@ -48,34 +48,36 @@ def test_depthwise_bias_streams_carry_c_channels():
                 continue
             cycling += e.configs > 1
             per_kpu = -(-e.layer.d_out // e.n_kpu)
+            adders, mux2 = _bias_counts(e.layer.d_out, per_kpu)
             assert layer_cost(e, SCOPE_TABLE6, None) == sum_vectors([
                 layer_cost(e, SCOPE_TABLE7, None),
-                bias_cost(e.layer.d_out, per_kpu)])
+                ResourceVector(adders=adders, mux2=mux2)])
     assert cycling
 
 
 def test_interleaver_cost():
-    assert interleaver_cost(8, 1, Fraction(2)).mux2 == 6
-    assert interleaver_cost(8, 1, Fraction(8)).mux2 == 0
-    assert interleaver_cost(16, 1, Fraction(4)).mux2 == 12
+    assert _interleaver_counts(8, 1, Fraction(2)) == 6
+    assert _interleaver_counts(8, 1, Fraction(8)) == 0
+    assert _interleaver_counts(16, 1, Fraction(4)) == 12
     # a fractional rate still needs ceil(r_in) continuous streams
-    assert interleaver_cost(8, 1, Fraction(3, 2)).mux2 == 6
-    assert interleaver_cost(8, 2, Fraction(1, 3)).mux2 == 3
+    assert _interleaver_counts(8, 1, Fraction(3, 2)) == 6
+    assert _interleaver_counts(8, 2, Fraction(1, 3)) == 3
 
 
 def test_ppu_cost():
-    p1 = ppu_cost(2, 24, 1)
+    p1 = ResourceVector(*_ppu_counts(2, 24, 1))
     assert (p1.max_units, p1.registers) == (3, 25)
-    p2 = ppu_cost(3, 12, 4)
+    p2 = ResourceVector(*_ppu_counts(3, 12, 4))
     assert (p2.max_units, p2.registers) == (8, 104)
-    assert ppu_cost(1, 12, 2).max_units == 0
+    assert ResourceVector(*_ppu_counts(1, 12, 2)).max_units == 0
 
 
 def test_fcu_cost():
-    c = fcu_cost(4, 5, 320, 2)
+    # two FCUs with j = 4 inputs, h = 5 neurons and 320 configurations
+    c = ResourceVector(*(2 * v for v in _fcu_counts(4, 5, 320)))
     assert (c.adders, c.multipliers, c.registers, c.mux2) == (8, 8, 10, 2552)
-    assert fcu_cost(8, 1, 1, 16).adders == 128
-    assert fcu_cost(3, 2, 1, 1).mux2 == 0
+    assert 16 * ResourceVector(*_fcu_counts(8, 1, 1)).adders == 128
+    assert ResourceVector(*_fcu_counts(3, 2, 1)).mux2 == 0
 
 
 def test_running_example_full_breakdown(rex_spec):
@@ -246,4 +248,3 @@ def test_resource_vector_addition():
     assert sum_vectors([a, b]) == ResourceVector(11, 22, 33, 44, 55, 66)
     assert sum_vectors([a, b, a]) == ResourceVector(12, 24, 36, 48, 60, 72)
     assert sum_vectors([]) == ResourceVector()
-    assert a.scaled(3) == ResourceVector(3, 6, 9, 12, 15, 18)

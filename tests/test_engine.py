@@ -447,7 +447,7 @@ def test_width_overflow_kpu_checks_invalid_windows(layer, w):
     # valid windows reach 3*127*127 = 48,387; windows straddling two rows
     # read three +127 taps per row and reach 145,161, which needs 19 bits
     x = np.tile([127, -127, -127, 127, 127], 5)
-    with pytest.raises(WidthOverflow, match="^KPU window sum"):
+    with pytest.raises(WidthOverflow, match="^L0: KPU window sum"):
         _overflow_case([layer], 5, 1, x, w, 18)
     res = _overflow_case([layer], 5, 1, x, w, 19)
     assert np.abs(res.outputs[0]).max() == 48387
@@ -456,7 +456,7 @@ def test_width_overflow_kpu_checks_invalid_windows(layer, w):
 def test_width_overflow_ppu():
     layers = [{"kind": "maxpool", "k": 2, "s": 2}]
     x = np.full(32, 127)
-    with pytest.raises(WidthOverflow, match="^PPU window max"):
+    with pytest.raises(WidthOverflow, match="^L0: PPU window max"):
         _overflow_case(layers, 4, 2, x, None, 7)
     _overflow_case(layers, 4, 2, x, None, 8)
 
@@ -466,7 +466,7 @@ def test_width_overflow_fcu_checks_running_sums():
     layers = [{"kind": "fc", "d_out": 1}]
     x = np.array([127, 127, -127, -127])
     w = np.full((1, 4), 127, dtype=np.int64)
-    with pytest.raises(WidthOverflow, match="^FCU accumulation"):
+    with pytest.raises(WidthOverflow, match="^L0: FCU accumulation"):
         _overflow_case(layers, 2, 1, x, w, 15)
     res = _overflow_case(layers, 2, 1, x, w, 16)
     assert res.outputs[0].ravel().tolist() == [0]
@@ -490,7 +490,7 @@ def test_width_overflow_checks_channel_accumulation():
     spec = running_example()
     weights = gen_network_weights(spec, 0)
     x = gen_random((24, 24, 1), 0, 8)
-    with pytest.raises(WidthOverflow, match=r"^KPU channel accumulation: "
+    with pytest.raises(WidthOverflow, match=r"^C2: KPU channel accumulation: "
                        r"\|109652235\| does not fit signed 27-bit"):
         simulate_network(_with_width(plan_network(spec), 2, 27), weights, x)
     simulate_network(_with_width(plan_network(spec), 2, 28), weights, x)
@@ -749,7 +749,7 @@ def test_width_check_fires_only_on_a_window_at_the_edge(sign, low, message):
     else:
         with pytest.raises(WidthOverflow) as exc:
             _overflow_case([layer], 4, 1, x, w, 8)
-        assert str(exc.value) == message
+        assert str(exc.value) == f"L0: {message}"
 
 
 @pytest.mark.parametrize("layer", [
@@ -857,8 +857,8 @@ def test_stepped_fcus_match_fcu_datapath():
             with pytest.raises(WidthOverflow) as exc:
                 simulate_network(_with_width(plan, entry.index, bits),
                                  weights, xs)
-            assert str(exc.value) == \
-                f"FCU accumulation: |{first}| does not fit signed {bits}-bit"
+            assert str(exc.value) == (f"{name}: FCU accumulation: |{first}| "
+                                      f"does not fit signed {bits}-bit")
             plan.layers[entry.index] = entry
     assert compared > 10_000
 

@@ -14,8 +14,8 @@ import brute_force as ref
 from brute_force import output_valid
 from flowcnn import rate
 from flowcnn.alloc import AllocError, alloc_conv, plan_network, plan_to_dict
-from flowcnn.cost import (SCOPES, kpu_cost, accumulator_cost, layer_cost,
-                          sweep_rates)
+from flowcnn.cost import (SCOPES, _accumulator_counts, _kpu_counts,
+                          layer_cost, sweep_rates)
 from flowcnn.models import data_path, mobilenet_v1, random_network
 from flowcnn.netspec import (LayerKind, LayerSpec, NetworkSpec,
                              load_network_file, parse_network,
@@ -55,7 +55,7 @@ def test_fully_parallel_limit(geo):
     alloc = alloc_conv(LayerKind.CONV, d_in, d_out, Fraction(d_in))
     assert alloc.c == 1 and alloc.i == 1
     assert alloc.n_units == d_in * d_out
-    assert kpu_cost(k, f, alloc.c).mux2 == 0
+    assert _kpu_counts(k, f, alloc.c)[3] == 0    # mux2
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,9 +162,9 @@ def test_accumulator_scaling_linear():
     base = None
     for r in (Fraction(8), Fraction(4), Fraction(2), Fraction(1)):
         alloc = alloc_conv(LayerKind.CONV, 8, 16, r)
-        total = (kpu_cost(7, 28, alloc.c).adders * alloc.n_units
-                 + accumulator_cost(16, alloc.accumulators,
-                                    alloc.n_units).adders)
+        total = (_kpu_counts(7, 28, alloc.c)[0] * alloc.n_units
+                 + _accumulator_counts(16, alloc.accumulators,
+                                       alloc.n_units)[0])
         per_kpu = Fraction(total, alloc.n_units)
         if base is None:
             base = per_kpu
